@@ -67,7 +67,16 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
+(* More shards than cores still gives bit-identical results, but waiting
+   shards then park instead of spinning and every handoff goes through the
+   OS scheduler; say so once, on stderr, without failing the run. *)
 let apply_shards shards cfg =
+  let cores = Mosaic_util.Domain_pool.available_cores () in
+  if shards > cores then
+    Printf.eprintf
+      "warning: --shards %d exceeds the %d available core(s); results are \
+       unchanged, but shards will contend for cores\n%!"
+      shards cores;
   if shards <> 1 then { cfg with Soc.shards } else cfg
 
 let no_skip_arg =

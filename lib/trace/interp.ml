@@ -1,12 +1,27 @@
 open Mosaic_ir
 module Int_vec = Mosaic_util.Int_vec
 
+(* Keys are byte addresses (multiples of the element size) and channel
+   ids, so the hash mixes high bits down before the table masks them. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
 type status = Running | Blocked | Finished
 
 type tile_state = {
   tile : int;
   kernel : Func.t;
   regs : Value.t array;
+  operands : Instr.operand array array;
+      (** by instruction id: the instruction's args with every
+          [Glob]/[Tid]/[Ntiles] already turned into an [Imm] *)
   mutable bid : int;
   mutable ip : int;
   mutable status : status;
@@ -21,8 +36,8 @@ type t = {
   prog : Program.t;
   label : string;
   ntiles : int;
-  mem : (int, Value.t) Hashtbl.t;
-  channels : (int * int, Value.t Queue.t) Hashtbl.t;
+  mem : Value.t Int_tbl.t;
+  channels : Value.t Queue.t Int_tbl.t array;  (** by dst tile, then chan *)
   tiles : tile_state array;
   accel_fns : (string, t -> Value.t array -> unit) Hashtbl.t;
   mutable total_steps : int;
@@ -32,7 +47,20 @@ type t = {
 exception Deadlock of string
 exception Step_limit of int
 
-let make_tile prog tile (kernel_name, args) =
+(* Operands fixed for a tile's lifetime are resolved once, in [make_tile].
+   A [Glob] naming no global is left as it is, so the lookup fails only if
+   the instruction ever executes. *)
+let resolve prog ~ntiles ~tile (operand : Instr.operand) =
+  match operand with
+  | Instr.Glob g -> (
+      match Program.find_global prog g with
+      | Some gl -> Instr.Imm (Value.of_int gl.Program.base)
+      | None -> operand)
+  | Instr.Tid -> Instr.Imm (Value.of_int tile)
+  | Instr.Ntiles -> Instr.Imm (Value.of_int ntiles)
+  | Instr.Reg _ | Instr.Imm _ -> operand
+
+let make_tile prog ~ntiles tile (kernel_name, args) =
   let f = Program.func_exn prog kernel_name in
   if List.length args <> f.Func.nparams then
     invalid_arg
@@ -44,6 +72,11 @@ let make_tile prog tile (kernel_name, args) =
     tile;
     kernel = f;
     regs;
+    operands =
+      Array.map
+        (fun ((i : Instr.t), _) ->
+          Array.map (resolve prog ~ntiles ~tile) i.Instr.args)
+        f.Func.index;
     bid = 0;
     ip = 0;
     status = Running;
@@ -57,14 +90,14 @@ let make_tile prog tile (kernel_name, args) =
 let create_hetero prog ~label ~tiles =
   let ntiles = Array.length tiles in
   if ntiles <= 0 then invalid_arg "Interp.create_hetero: no tiles";
-  let tiles = Array.mapi (fun i spec -> make_tile prog i spec) tiles in
+  let tiles = Array.mapi (fun i spec -> make_tile prog ~ntiles i spec) tiles in
   Array.iter (fun ts -> Int_vec.push ts.bb_path 0) tiles;
   {
     prog;
     label;
     ntiles;
-    mem = Hashtbl.create 4096;
-    channels = Hashtbl.create 16;
+    mem = Int_tbl.create 4096;
+    channels = Array.init ntiles (fun _ -> Int_tbl.create 4);
     tiles;
     accel_fns = Hashtbl.create 4;
     total_steps = 0;
@@ -78,10 +111,10 @@ let create prog ~kernel ~ntiles ~args =
 
 let register_accel t name fn = Hashtbl.replace t.accel_fns name fn
 
-let poke t addr v = Hashtbl.replace t.mem addr v
+let poke t addr v = Int_tbl.replace t.mem addr v
 
 let peek t addr =
-  match Hashtbl.find_opt t.mem addr with Some v -> v | None -> Value.zero
+  match Int_tbl.find t.mem addr with v -> v | exception Not_found -> Value.zero
 
 let global_addr (g : Program.global) i =
   if i < 0 || i >= g.Program.elems then
@@ -94,12 +127,12 @@ let poke_global t g i v = poke t (global_addr g i) v
 
 let peek_global t g i = peek t (global_addr g i)
 
-(* [poke] only ever [Hashtbl.replace]s, so each address has one binding;
+(* [poke] only ever [Int_tbl.replace]s, so each address has one binding;
    sorting makes the snapshot independent of hash order. *)
 let memory_contents t =
-  let arr = Array.make (Hashtbl.length t.mem) (0, Value.zero) in
+  let arr = Array.make (Int_tbl.length t.mem) (0, Value.zero) in
   let i = ref 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun addr v ->
       arr.(!i) <- (addr, v);
       incr i)
@@ -107,71 +140,76 @@ let memory_contents t =
   Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) arr;
   arr
 
+(* [dst] is a valid tile id: sends check it, receivers pass their own. *)
 let channel_queue t ~dst ~chan =
-  let key = (dst, chan) in
-  match Hashtbl.find_opt t.channels key with
-  | Some q -> q
-  | None ->
+  let queues = t.channels.(dst) in
+  match Int_tbl.find queues chan with
+  | q -> q
+  | exception Not_found ->
       let q = Queue.create () in
-      Hashtbl.replace t.channels key q;
+      Int_tbl.replace queues chan q;
       q
 
-let eval ts operand =
+(* [operand] comes from [ts.operands]: a [Glob] there is unresolved and
+   its lookup raises. *)
+let eval t ts (operand : Instr.operand) =
   match operand with
   | Instr.Reg r -> ts.regs.(r)
   | Instr.Imm v -> v
-  | Instr.Glob _ -> assert false (* resolved in [eval_full] *)
-  | Instr.Tid -> Value.of_int ts.tile
-  | Instr.Ntiles -> assert false
-
-let eval_full t ts operand =
-  match operand with
   | Instr.Glob g -> Value.of_int (Program.global_exn t.prog g).Program.base
-  | Instr.Ntiles -> Value.of_int t.ntiles
-  | Instr.Reg _ | Instr.Imm _ | Instr.Tid -> eval ts operand
+  | Instr.Tid | Instr.Ntiles -> assert false (* resolved in [make_tile] *)
 
 let set_dst ts (i : Instr.t) v =
   match i.Instr.dst with
   | Some d -> ts.regs.(d) <- v
   | None -> ()
 
+let arg t ts ops n = eval t ts ops.(n)
+
+let goto ts target =
+  ts.bid <- target;
+  ts.ip <- 0;
+  Int_vec.push ts.bb_path target
+
+let advance ts = ts.ip <- ts.ip + 1
+
 (* Execute the instruction at [ts.ip]; returns [false] when the tile must
    block (recv on an empty channel) without advancing. *)
 let exec_instr t ts (i : Instr.t) =
-  let arg n = eval_full t ts i.Instr.args.(n) in
-  let goto target =
-    ts.bid <- target;
-    ts.ip <- 0;
-    Int_vec.push ts.bb_path target
-  in
-  let advance () = ts.ip <- ts.ip + 1 in
+  let ops = ts.operands.(i.Instr.id) in
   match i.Instr.op with
   | Op.Binop op ->
-      set_dst ts i
-        (Value.Int (Eval.ibinop op (Value.to_int64 (arg 0)) (Value.to_int64 (arg 1))));
-      advance ();
+      let a = Value.to_int64 (arg t ts ops 0)
+      and b = Value.to_int64 (arg t ts ops 1) in
+      set_dst ts i (Value.Int (Eval.ibinop op a b));
+      advance ts;
       true
   | Op.Fbinop op ->
-      set_dst ts i
-        (Value.Float (Eval.fbinop op (Value.to_float (arg 0)) (Value.to_float (arg 1))));
-      advance ();
+      let a = Value.to_float (arg t ts ops 0)
+      and b = Value.to_float (arg t ts ops 1) in
+      set_dst ts i (Value.Float (Eval.fbinop op a b));
+      advance ts;
       true
   | Op.Icmp p ->
-      set_dst ts i
-        (Value.of_bool (Eval.pred_int p (Value.to_int64 (arg 0)) (Value.to_int64 (arg 1))));
-      advance ();
+      let a = Value.to_int64 (arg t ts ops 0)
+      and b = Value.to_int64 (arg t ts ops 1) in
+      set_dst ts i (Value.of_bool (Eval.pred_int p a b));
+      advance ts;
       true
   | Op.Fcmp p ->
-      set_dst ts i
-        (Value.of_bool (Eval.pred_float p (Value.to_float (arg 0)) (Value.to_float (arg 1))));
-      advance ();
+      let a = Value.to_float (arg t ts ops 0)
+      and b = Value.to_float (arg t ts ops 1) in
+      set_dst ts i (Value.of_bool (Eval.pred_float p a b));
+      advance ts;
       true
   | Op.Select ->
-      set_dst ts i (if Value.to_bool (arg 0) then arg 1 else arg 2);
-      advance ();
+      set_dst ts i
+        (if Value.to_bool (arg t ts ops 0) then arg t ts ops 1
+         else arg t ts ops 2);
+      advance ts;
       true
   | Op.Cast c ->
-      let v = arg 0 in
+      let v = arg t ts ops 0 in
       let result =
         match c with
         | Op.Sitofp -> Value.Float (Value.to_float v)
@@ -181,62 +219,63 @@ let exec_instr t ts (i : Instr.t) =
             Value.Int (Int64.of_int32 (Int64.to_int32 (Value.to_int64 v)))
       in
       set_dst ts i result;
-      advance ();
+      advance ts;
       true
   | Op.Math m ->
-      let args = Array.map (fun a -> Value.to_float (eval_full t ts a)) i.Instr.args in
+      let args = Array.map (fun a -> Value.to_float (eval t ts a)) ops in
       set_dst ts i (Value.Float (Eval.math m args));
-      advance ();
+      advance ts;
       true
   | Op.Gep scale ->
-      let base = Value.to_int (arg 0) and idx = Value.to_int (arg 1) in
+      let base = Value.to_int (arg t ts ops 0)
+      and idx = Value.to_int (arg t ts ops 1) in
       set_dst ts i (Value.of_int (base + (idx * scale)));
-      advance ();
+      advance ts;
       true
   | Op.Load _ ->
-      let addr = Value.to_int (arg 0) in
+      let addr = Value.to_int (arg t ts ops 0) in
       Int_vec.push ts.mem_accs.(i.Instr.id) addr;
       set_dst ts i (peek t addr);
-      advance ();
+      advance ts;
       true
   | Op.Store _ ->
-      let addr = Value.to_int (arg 0) in
+      let addr = Value.to_int (arg t ts ops 0) in
       Int_vec.push ts.mem_accs.(i.Instr.id) addr;
-      poke t addr (arg 1);
-      advance ();
+      poke t addr (arg t ts ops 1);
+      advance ts;
       true
   | Op.Atomic_rmw (rmw, _) ->
-      let addr = Value.to_int (arg 0) in
+      let addr = Value.to_int (arg t ts ops 0) in
       Int_vec.push ts.mem_accs.(i.Instr.id) addr;
       let old = peek t addr in
-      poke t addr (Eval.rmw rmw old (arg 1));
+      poke t addr (Eval.rmw rmw old (arg t ts ops 1));
       set_dst ts i old;
-      advance ();
+      advance ts;
       true
   | Op.Send chan ->
-      let dst = Value.to_int (arg 0) in
+      let dst = Value.to_int (arg t ts ops 0) in
       if dst < 0 || dst >= t.ntiles then
         invalid_arg (Printf.sprintf "Interp: send to bad tile %d" dst);
       Int_vec.push ts.send_accs.(i.Instr.id) dst;
-      Queue.add (arg 1) (channel_queue t ~dst ~chan);
-      advance ();
+      Queue.add (arg t ts ops 1) (channel_queue t ~dst ~chan);
+      advance ts;
       true
   | Op.Load_send (chan, _) ->
-      let dst = Value.to_int (arg 0) in
+      let dst = Value.to_int (arg t ts ops 0) in
       if dst < 0 || dst >= t.ntiles then
         invalid_arg (Printf.sprintf "Interp: load_send to bad tile %d" dst);
-      let addr = Value.to_int (arg 1) in
+      let addr = Value.to_int (arg t ts ops 1) in
       Int_vec.push ts.mem_accs.(i.Instr.id) addr;
       Int_vec.push ts.send_accs.(i.Instr.id) dst;
       Queue.add (peek t addr) (channel_queue t ~dst ~chan);
-      advance ();
+      advance ts;
       true
   | Op.Recv chan -> (
       let q = channel_queue t ~dst:ts.tile ~chan in
       match Queue.take_opt q with
       | Some v ->
           set_dst ts i v;
-          advance ();
+          advance ts;
           true
       | None ->
           ts.status <- Blocked;
@@ -245,30 +284,30 @@ let exec_instr t ts (i : Instr.t) =
       let q = channel_queue t ~dst:ts.tile ~chan in
       match Queue.take_opt q with
       | Some v ->
-          let addr = Value.to_int (arg 0) in
+          let addr = Value.to_int (arg t ts ops 0) in
           Int_vec.push ts.mem_accs.(i.Instr.id) addr;
           (match rmw with
           | Some r -> poke t addr (Eval.rmw r (peek t addr) v)
           | None -> poke t addr v);
-          advance ();
+          advance ts;
           true
       | None ->
           ts.status <- Blocked;
           false)
   | Op.Accel kind ->
-      let params = Array.map (eval_full t ts) i.Instr.args in
+      let params = Array.map (eval t ts) ops in
       let cell = ts.accel_accs.(i.Instr.id) in
       cell := params :: !cell;
       (match Hashtbl.find_opt t.accel_fns kind with
       | Some fn -> fn t params
       | None -> ());
-      advance ();
+      advance ts;
       true
   | Op.Br target ->
-      goto target;
+      goto ts target;
       true
   | Op.Cond_br (taken, not_taken) ->
-      goto (if Value.to_bool (arg 0) then taken else not_taken);
+      goto ts (if Value.to_bool (arg t ts ops 0) then taken else not_taken);
       true
   | Op.Ret ->
       ts.status <- Finished;

@@ -32,9 +32,23 @@
    happens-before edge over every shard's plain-field writes from the
    finished sweep, so it may read any tile's state directly.
 
+   Waiting is spin-then-park. A waiter spins on [Domain.cpu_relax] for
+   up to [spin_budget] checks (long when every shard has a core, short
+   when shards outnumber cores and a spinner would only burn the
+   timeslice its peer needs), then parks on the coordinator's condition
+   variable. Parking increments [sleepers] and re-checks the predicate
+   under [lock]; every state change a waiter can wait for (a horizon
+   store, the barrier phase flip, the failure flag) is an atomic store
+   followed by a read of [sleepers] that broadcasts under [lock] when it
+   is non-zero. Both sides are seq_cst, so either the waiter's re-check
+   sees the new state or the waker sees the waiter counted — and since
+   the waiter holds [lock] from its increment until [Condition.wait]
+   releases it, the waker's broadcast cannot slip in between. No wake-up
+   is lost, and the uncontended path pays one atomic load per store.
+
    Failure anywhere (a stepping shard or the reduction) records the
    exception, raises every shard's horizon to infinity and trips a
-   global flag that all spin loops poll; the other shards unwind with
+   global flag that all waiters poll; the other shards unwind with
    {!Aborted} and [run] re-raises the original exception after joining. *)
 
 exception Aborted
@@ -50,8 +64,13 @@ type t = {
   phase : int Atomic.t;
   timed : bool;
   waits : float array;
-      (** per-shard seconds spent spinning in {!wait_order}/{!barrier};
-          slot [k] written only by shard [k], read after [run] joins *)
+      (** per-shard seconds spent waiting (spinning or parked) in
+          {!wait_order}/{!barrier}; slot [k] written only by shard [k],
+          read after [run] joins *)
+  spin_budget : int;
+  lock : Mutex.t;
+  wake : Condition.t;
+  sleepers : int Atomic.t;  (** waiters parked, or about to park, on [wake] *)
 }
 
 (* Packed the same way the interleaver packs (dst, chan) keys: tile ids
@@ -59,6 +78,13 @@ type t = {
 let point_shift = 20
 
 let point ~seq ~tile = (seq lsl point_shift) lor tile
+
+(* Spin budgets, in predicate checks. With a core per shard the typical
+   wait is a peer finishing one tile-step, far shorter than a park/wake
+   round trip, so spin for a while; oversubscribed, the peer we wait on
+   may need our core, so park almost at once. *)
+let dedicated_spins = 16_384
+let oversubscribed_spins = 64
 
 let create ?(timed = false) ~nshards () =
   if nshards <= 0 then invalid_arg "Shard_sync.create: nshards must be positive";
@@ -71,37 +97,59 @@ let create ?(timed = false) ~nshards () =
     phase = Atomic.make 0;
     timed;
     waits = Array.make nshards 0.0;
+    spin_budget =
+      (if nshards <= Domain_pool.available_cores () then dedicated_spins
+       else oversubscribed_spins);
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    sleepers = Atomic.make 0;
   }
 
 let nshards t = t.nshards
 
-(* Spin backoff: stay on the core briefly (the typical wait is another
-   shard finishing one tile-step), then yield the timeslice so 1-CPU
-   hosts make progress at OS-scheduler speed instead of burning a whole
-   quantum per handoff. *)
-let pause spins =
-  if spins < 64 then Domain.cpu_relax () else Unix.sleepf 20e-6
-
 let check_failed t = if Atomic.get t.failed then raise Aborted
+
+(* Called after every atomic store a waiter may be parked on. *)
+let wake_sleepers t =
+  if Atomic.get t.sleepers > 0 then begin
+    Mutex.lock t.lock;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.lock
+  end
 
 let record_failure t ~shard e bt =
   t.failures.(shard) <- Some (e, bt);
   (* Infinite horizon: nobody must ever wait on a dead shard. *)
   Atomic.set t.horizons.(shard) max_int;
-  Atomic.set t.failed true
+  Atomic.set t.failed true;
+  wake_sleepers t
 
-let publish t ~shard ~point = Atomic.set t.horizons.(shard) point
+let publish t ~shard ~point =
+  Atomic.set t.horizons.(shard) point;
+  wake_sleepers t
+
+let park t pred =
+  Mutex.lock t.lock;
+  Atomic.incr t.sleepers;
+  while not (pred () || Atomic.get t.failed) do
+    Condition.wait t.wake t.lock
+  done;
+  Atomic.decr t.sleepers;
+  Mutex.unlock t.lock
 
 (* Wait-time accounting reads the clock only on the slow path (an actual
-   spin), so untimed fast-path cost is unchanged and timed fast-path cost
+   wait), so untimed fast-path cost is unchanged and timed fast-path cost
    is one extra branch per horizon check. *)
 let spin_until t ~shard pred =
   let spins = ref 0 in
   let t0 = if t.timed then Unix.gettimeofday () else 0.0 in
   while not (pred ()) do
     check_failed t;
-    pause !spins;
-    incr spins
+    if !spins < t.spin_budget then begin
+      Domain.cpu_relax ();
+      incr spins
+    end
+    else park t pred
   done;
   if t.timed then t.waits.(shard) <- t.waits.(shard) +. (Unix.gettimeofday () -. t0)
 
@@ -123,7 +171,8 @@ let barrier t ~shard ~reduce =
           failure exactly one slot is ever set. *)
        record_failure t ~shard:0 e (Printexc.get_raw_backtrace ()));
     Atomic.set t.arrived 0;
-    Atomic.incr t.phase
+    Atomic.incr t.phase;
+    wake_sleepers t
   end
   else spin_until t ~shard (fun () -> Atomic.get t.phase <> gen);
   check_failed t

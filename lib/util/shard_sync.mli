@@ -1,4 +1,4 @@
-(** Lock-free ordering kernel for sharded (multi-domain) simulation.
+(** Ordering kernel for sharded (multi-domain) simulation.
 
     Shards sweep disjoint, contiguous, ascending tile ranges in cycle
     lockstep. Tile-private work runs in parallel; operations on shared
@@ -10,10 +10,12 @@
     is at or above it"); an op at point [p] proceeds once every other
     shard's horizon exceeds [p]. Waits only target shards owning lower
     tile ids, so the wait graph is acyclic and deadlock-free, and at
-    most one shared op runs at any instant.
+    most one shared op runs at any instant. Ordering needs no lock;
+    waiters spin briefly, then park on a condition variable that every
+    horizon, barrier or failure update signals when someone is parked.
 
     Any failure (in a shard body or a barrier reduction) aborts all
-    shards promptly: spin loops poll a global flag and unwind with
+    shards promptly: waiters poll a global flag and unwind with
     {!Aborted}; {!run} re-raises the original exception (lowest failing
     shard) after every domain joins. *)
 
@@ -22,9 +24,10 @@ type t
 exception Aborted
 
 (** [create ~nshards ()] makes a coordinator for [nshards] workers.
-    [timed] additionally accounts per-shard wall-clock spent spinning in
-    {!wait_order}/{!barrier} (clock reads happen only on actual waits, so
-    the no-contention fast path is one extra branch). *)
+    [timed] additionally accounts per-shard wall-clock spent waiting
+    (spinning or parked) in {!wait_order}/{!barrier} (clock reads happen
+    only on actual waits, so the no-contention fast path is one extra
+    branch). *)
 val create : ?timed:bool -> nshards:int -> unit -> t
 
 val nshards : t -> int
@@ -53,7 +56,7 @@ val barrier : t -> shard:int -> reduce:(unit -> unit) -> unit
     re-raises the first recorded failure, if any. *)
 val run : t -> (int -> unit) -> unit
 
-(** Seconds shard [k] has spent spinning (always [0.] unless created
-    with [~timed:true]). Read after {!run} returns — slots are plain
-    fields owned by their shard while running. *)
+(** Seconds shard [k] has spent waiting, parked time included (always
+    [0.] unless created with [~timed:true]). Read after {!run} returns —
+    slots are plain fields owned by their shard while running. *)
 val wait_seconds : t -> int -> float

@@ -11,7 +11,9 @@
    rather than hiding behind a matching cycle count.
 
    The [Shard_sync] kernel is also tested directly: global ordering of
-   cross-shard operations, and prompt failure propagation. *)
+   cross-shard operations (also with more shards than cores, so waiters
+   park), prompt failure propagation to parked shards, and wait-time
+   accounting. *)
 
 module Ir = Mosaic_ir
 module W = Mosaic_workloads
@@ -24,12 +26,12 @@ let fingerprint = Test_batch.fingerprint
 
 (* --- Shard_sync kernel ------------------------------------------------ *)
 
-(* Three shards of two "tiles" each perform an ordered op per tile per
+(* Each shard owns two "tiles" and performs an ordered op per tile per
    sweep, mimicking the scheduler's publish discipline. The ops append
    their points to a plain shared list — safe exactly because wait_order
    serializes them — and the trace must come out globally ascending. *)
-let test_sync_global_order () =
-  let nshards = 3 and tiles_per = 2 and sweeps = 25 in
+let sync_global_order ~nshards () =
+  let tiles_per = 2 and sweeps = 25 in
   let sync = Sync.create ~nshards () in
   let log = ref [] in
   Sync.run sync (fun k ->
@@ -51,37 +53,62 @@ let test_sync_global_order () =
     (List.for_all2 ( < ) (List.filteri (fun i _ -> i < List.length trace - 1) trace)
        (List.tl trace))
 
-let test_sync_failure_propagates () =
-  let sync = Sync.create ~nshards:3 () in
-  let raised =
-    try
-      Sync.run sync (fun k ->
-          for seq = 0 to 999 do
-            if k = 1 && seq = 3 then failwith "boom";
-            Sync.publish sync ~shard:k
-              ~point:(Sync.point ~seq:(seq + 1) ~tile:(k * 2));
-            Sync.barrier sync ~shard:k ~reduce:(fun () -> ())
-          done);
-      "no exception"
-    with Failure msg -> msg
-  in
-  Alcotest.(check string) "original failure re-raised" "boom" raised
+(* A shard that spends [park_delay] before acting outlasts every peer's
+   spin budget, so the peers are parked when it acts. *)
+let park_delay = 0.05
 
-let test_sync_reduce_failure () =
-  let sync = Sync.create ~nshards:2 () in
+(* Shard 0 waits at the barrier for shard 1's [park_delay]; the time it
+   spends parked must be counted. Half the delay allows for shard 1
+   starting its sleep before shard 0 starts waiting. *)
+let test_sync_timed_counts_parked () =
+  let sync = Sync.create ~timed:true ~nshards:2 () in
+  Sync.run sync (fun k ->
+      if k = 1 then Unix.sleepf park_delay;
+      Sync.publish sync ~shard:k ~point:(Sync.point ~seq:1 ~tile:k);
+      Sync.barrier sync ~shard:k ~reduce:(fun () -> ()));
+  Alcotest.(check bool) "parked time counted" true
+    (Sync.wait_seconds sync 0 >= park_delay /. 2.)
+
+(* [run sync body] must re-raise [body]'s [Failure] and return promptly;
+   a lost wake-up of a parked peer would hang instead. *)
+let check_fails_promptly ~expect sync body =
+  let t0 = Unix.gettimeofday () in
   let raised =
     try
-      Sync.run sync (fun k ->
-          for seq = 0 to 999 do
-            Sync.publish sync ~shard:k
-              ~point:(Sync.point ~seq:(seq + 1) ~tile:k);
-            Sync.barrier sync ~shard:k ~reduce:(fun () ->
-                if seq = 5 then failwith "reduce boom")
-          done);
+      Sync.run sync body;
       "no exception"
     with Failure msg -> msg
   in
-  Alcotest.(check string) "reduce failure re-raised" "reduce boom" raised
+  Alcotest.(check string) "original failure re-raised" expect raised;
+  Alcotest.(check bool) "peers released promptly" true
+    (Unix.gettimeofday () -. t0 < 5.0)
+
+(* With [delay = park_delay] the failing shard's peers are parked at the
+   barrier when it raises. *)
+let sync_failure_propagates ~delay () =
+  let sync = Sync.create ~nshards:3 () in
+  check_fails_promptly ~expect:"boom" sync (fun k ->
+      for seq = 0 to 999 do
+        if k = 1 && seq = 3 then begin
+          Unix.sleepf delay;
+          failwith "boom"
+        end;
+        Sync.publish sync ~shard:k
+          ~point:(Sync.point ~seq:(seq + 1) ~tile:(k * 2));
+        Sync.barrier sync ~shard:k ~reduce:(fun () -> ())
+      done)
+
+let sync_reduce_failure ~delay () =
+  let sync = Sync.create ~nshards:2 () in
+  check_fails_promptly ~expect:"reduce boom" sync (fun k ->
+      for seq = 0 to 999 do
+        Sync.publish sync ~shard:k ~point:(Sync.point ~seq:(seq + 1) ~tile:k);
+        Sync.barrier sync ~shard:k ~reduce:(fun () ->
+            if seq = 5 then begin
+              Unix.sleepf delay;
+              failwith "reduce boom"
+            end)
+      done)
 
 (* --- Sharded SoC vs serial ------------------------------------------- *)
 
@@ -199,11 +226,20 @@ let suite =
     ( "shard",
       [
         Alcotest.test_case "sync: global op order" `Quick
-          test_sync_global_order;
+          (sync_global_order ~nshards:3);
+        Alcotest.test_case "sync: global op order, oversubscribed" `Quick
+          (sync_global_order
+             ~nshards:(Mosaic_util.Domain_pool.available_cores () + 2));
         Alcotest.test_case "sync: shard failure propagates" `Quick
-          test_sync_failure_propagates;
+          (sync_failure_propagates ~delay:0.);
         Alcotest.test_case "sync: reduce failure propagates" `Quick
-          test_sync_reduce_failure;
+          (sync_reduce_failure ~delay:0.);
+        Alcotest.test_case "sync: failure wakes parked shards" `Quick
+          (sync_failure_propagates ~delay:park_delay);
+        Alcotest.test_case "sync: reduce failure wakes parked shards" `Quick
+          (sync_reduce_failure ~delay:park_delay);
+        Alcotest.test_case "sync: timed waits include parked time" `Quick
+          test_sync_timed_counts_parked;
         QCheck_alcotest.to_alcotest prop_gen_differential;
         Alcotest.test_case "dae pairs sharded = serial" `Quick
           test_dae_sharded;
