@@ -27,6 +27,19 @@ let resolve_instance bench =
       exit 1)
   else W.Registry.instance bench
 
+(* A kernel that deadlocks or outruns the step budget is bad input, not a
+   crash: [obtain bench f] reports either as one "BENCH: error: ..." line
+   and exits 1, the code .mir parse errors use. *)
+let obtain bench f =
+  let fail msg =
+    Printf.eprintf "%s: error: %s\n%!" bench msg;
+    exit 1
+  in
+  try f () with
+  | Mosaic_trace.Interp.Deadlock msg -> fail msg
+  | Mosaic_trace.Interp.Step_limit n ->
+      fail (Printf.sprintf "step limit of %d dynamic instructions reached" n)
+
 let tiles_arg =
   let doc = "Number of SPMD tiles." in
   Arg.(value & opt int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
@@ -324,7 +337,9 @@ let run_cmd =
     apply_manifest manifest;
     apply_trace_cache cache;
     let inst = resolve_instance bench in
-    let trace, tinfo = W.Runner.trace_cached_full inst ~ntiles:tiles in
+    let trace, tinfo =
+      obtain bench (fun () -> W.Runner.trace_cached_full inst ~ntiles:tiles)
+    in
     let cfg =
       apply_shards shards (apply_no_skip no_skip (system_of_string system))
     in
@@ -414,7 +429,9 @@ let bench_cmd =
         (List.map
            (fun name () ->
              let inst = resolve_instance name in
-             let trace = W.Runner.trace_cached inst ~ntiles:tiles in
+             let trace =
+               obtain name (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
+             in
              let r =
                Soc.run_homogeneous ~profile cfg ~program:inst.W.Runner.program
                  ~trace ~tile_config:tc
@@ -496,7 +513,9 @@ let profile_cmd =
       cache =
     apply_trace_cache cache;
     let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
+    let trace =
+      obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
+    in
     let cfg =
       apply_shards shards (apply_no_skip no_skip (system_of_string system))
     in
@@ -605,7 +624,9 @@ let trace_cmd =
   in
   let run_trace_inspect bench tiles =
     let inst = resolve_instance bench in
-    let trace, info = W.Runner.trace_cached_full inst ~ntiles:tiles in
+    let trace, info =
+      obtain bench (fun () -> W.Runner.trace_cached_full inst ~ntiles:tiles)
+    in
     let control, memory = Mosaic_trace.Trace.storage_bytes trace in
     let comp_control, comp_memory = Mosaic_trace.Trace.compressed_bytes trace in
     let status =
@@ -662,7 +683,9 @@ let trace_cmd =
 let trace_stats_cmd =
   let run bench tiles =
     let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
+    let trace =
+      obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
+    in
     let control, memory = Mosaic_trace.Trace.storage_bytes trace in
     Table.print ~title:(Printf.sprintf "trace: %s" bench)
       ~columns:[ Table.column ~align:Table.Left "metric"; Table.column "value" ]
@@ -695,7 +718,7 @@ let dse_cmd =
   in
   let soc_plm_sweep bench jobs =
     let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:1 in
+    let trace = obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:1) in
     let spec =
       "plm="
       ^ String.concat ","
@@ -806,7 +829,9 @@ let sweep_cmd =
         (Printf.sprintf
            "--jobs %d and --shards %d both parallelize; pick one" jobs shards);
     let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
+    let trace =
+      obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
+    in
     let cfg =
       apply_shards shards (apply_no_skip no_skip (system_of_string system))
     in
@@ -915,7 +940,7 @@ let dnn_cmd =
       | s -> failwith (Printf.sprintf "unknown model %s" s)
     in
     let inst = W.Dnn.instance m ~accel in
-    let trace = W.Runner.trace_cached inst ~ntiles:1 in
+    let trace = obtain model (fun () -> W.Runner.trace_cached inst ~ntiles:1) in
     let r =
       Soc.run_homogeneous Presets.dae_soc ~program:inst.W.Runner.program ~trace
         ~tile_config:Tile_config.out_of_order
@@ -929,7 +954,9 @@ let dnn_cmd =
 let characterize_cmd =
   let run bench tiles =
     let inst = resolve_instance bench in
-    let trace = W.Runner.trace_cached inst ~ntiles:tiles in
+    let trace =
+      obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
+    in
     let a = Mosaic_trace.Analysis.whole inst.W.Runner.program trace in
     Format.printf "characterization: %s@.%a@." bench Mosaic_trace.Analysis.pp a;
     List.iter
@@ -967,7 +994,7 @@ let asm_cmd =
     if nparams > 0 then
       failwith "asm run supports parameterless kernels; bake sizes into the IR";
     let it = Mosaic_trace.Interp.create prog ~kernel ~ntiles:tiles ~args:[] in
-    let trace = Mosaic_trace.Interp.run it in
+    let trace = obtain file (fun () -> Mosaic_trace.Interp.run it) in
     let r =
       Soc.run_homogeneous
         (apply_no_skip no_skip (system_of_string system))
@@ -1011,7 +1038,7 @@ let cc_cmd =
     in
     let args = List.map Mosaic_ir.Value.of_int kargs in
     let it = Mosaic_trace.Interp.create prog ~kernel ~ntiles:tiles ~args in
-    let trace = Mosaic_trace.Interp.run it in
+    let trace = obtain file (fun () -> Mosaic_trace.Interp.run it) in
     let r =
       Soc.run_homogeneous
         (apply_no_skip no_skip (system_of_string system))
@@ -1046,7 +1073,9 @@ let dae_cmd =
       Array.init (2 * pairs) (fun i ->
           ((if i < pairs then access else execute), inst.W.Runner.args))
     in
-    let trace = W.Runner.trace_hetero_cached inst ~tiles:spec in
+    let trace =
+      obtain bench (fun () -> W.Runner.trace_hetero_cached inst ~tiles:spec)
+    in
     let tiles =
       Array.init (2 * pairs) (fun i ->
           {

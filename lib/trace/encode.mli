@@ -25,11 +25,6 @@
 
 val put_varint : Buffer.t -> int -> unit
 
-(** [get_varint bytes pos] returns [(value, next_pos)]. No bounds checking
-    beyond [Bytes.get]; callers validating untrusted input should check
-    lengths themselves. *)
-val get_varint : Bytes.t -> int -> int * int
-
 val zigzag : int -> int
 val unzigzag : int -> int
 
@@ -40,7 +35,15 @@ val encode_control : int array -> Bytes.t
 
 val decode_control : Bytes.t -> int array
 
+(** [decode_control_sub bytes off len] decodes the path encoded in
+    [bytes] from [off] to [off + len] without copying it out; it raises
+    [Invalid_argument] rather than read outside that range. *)
+val decode_control_sub : Bytes.t -> int -> int -> int array
+
 (** Encode one instruction's address stream. *)
 val encode_addrs : int array -> Bytes.t
 
 val decode_addrs : Bytes.t -> int array
+
+(** Like {!decode_control_sub}, for an address stream. *)
+val decode_addrs_sub : Bytes.t -> int -> int -> int array

@@ -13,6 +13,77 @@ module Int_tbl = Hashtbl.Make (struct
     h lxor (h lsr 29)
 end)
 
+(* Interpreter memory. Every 4-byte-aligned address from the first global
+   up to [Program.heap_end] at [create] (the span, capped at [max_span]
+   bytes) lives in an unboxed image: one slot per aligned address, grouped
+   into pages of [page_slots] slots that are allocated on first write. A
+   page is one [Bytes.t]: a tag byte per slot ([unset], [tag_int],
+   [tag_float]) followed by an 8-byte payload per slot, the [int64] or the
+   float's bits. Any other address (unaligned, negative, past the span, or
+   in a global allocated after [create]) is bound in [table] instead, so
+   each address has exactly one home. Neither holds a pointer per word, so
+   pokes allocate nothing in the major heap and the GC never scans them. *)
+let page_bits = 12
+
+let page_slots = 1 lsl page_bits
+
+(* 2^30 slots: the page directory stays at 2^18 words (2 MB). *)
+let max_span = 1 lsl 32
+
+let unset = '\000'
+
+let tag_int = '\001'
+
+let tag_float = '\002'
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Shared by every unallocated page directory entry; never written. *)
+let no_page = Bytes.empty
+
+type memory = {
+  lo : int;  (** address of slot 0: the first global's base *)
+  span : int;  (** bytes covered by the image *)
+  pages : Bytes.t array;
+  mutable bound : int;  (** image slots holding a value *)
+  table : Value.t Int_tbl.t;
+}
+
+let make_memory prog =
+  let lo =
+    match Program.globals prog with
+    | g :: _ -> g.Program.base
+    | [] -> Program.heap_end prog
+  in
+  let span = Stdlib.min max_span (Stdlib.max 0 (Program.heap_end prog - lo)) in
+  (* A span that ends mid-word still has a slot for its last aligned
+     address. *)
+  let nslots = (span + 3) lsr 2 in
+  let npages = (nslots + page_slots - 1) lsr page_bits in
+  {
+    lo;
+    span;
+    pages = Array.make npages no_page;
+    bound = 0;
+    table = Int_tbl.create 16;
+  }
+
+(* The image slot of [addr], or -1 when [addr] lives in the table. *)
+let slot_of m addr =
+  let off = addr - m.lo in
+  if off >= 0 && off < m.span && off land 3 = 0 then off lsr 2 else -1
+
+let payload i = page_slots + (i lsl 3)
+
+let slot_value page i =
+  let tag = Bytes.unsafe_get page i in
+  if tag == tag_int then Value.Int (get64u page (payload i))
+  else if tag == tag_float then
+    Value.Float (Int64.float_of_bits (get64u page (payload i)))
+  else Value.zero
+
 type status = Running | Blocked | Finished
 
 type tile_state = {
@@ -36,7 +107,7 @@ type t = {
   prog : Program.t;
   label : string;
   ntiles : int;
-  mem : Value.t Int_tbl.t;
+  mem : memory;
   channels : Value.t Queue.t Int_tbl.t array;  (** by dst tile, then chan *)
   tiles : tile_state array;
   accel_fns : (string, t -> Value.t array -> unit) Hashtbl.t;
@@ -96,7 +167,7 @@ let create_hetero prog ~label ~tiles =
     prog;
     label;
     ntiles;
-    mem = Int_tbl.create 4096;
+    mem = make_memory prog;
     channels = Array.init ntiles (fun _ -> Int_tbl.create 4);
     tiles;
     accel_fns = Hashtbl.create 4;
@@ -111,10 +182,43 @@ let create prog ~kernel ~ntiles ~args =
 
 let register_accel t name fn = Hashtbl.replace t.accel_fns name fn
 
-let poke t addr v = Int_tbl.replace t.mem addr v
-
 let peek t addr =
-  match Int_tbl.find t.mem addr with v -> v | exception Not_found -> Value.zero
+  let m = t.mem in
+  let s = slot_of m addr in
+  if s >= 0 then
+    let page = Array.unsafe_get m.pages (s lsr page_bits) in
+    if page == no_page then Value.zero
+    else slot_value page (s land (page_slots - 1))
+  else
+    match Int_tbl.find m.table addr with
+    | v -> v
+    | exception Not_found -> Value.zero
+
+let poke t addr (v : Value.t) =
+  let m = t.mem in
+  let s = slot_of m addr in
+  if s >= 0 then begin
+    let p = s lsr page_bits in
+    let page =
+      let page = Array.unsafe_get m.pages p in
+      if page != no_page then page
+      else begin
+        let page = Bytes.make (9 * page_slots) unset in
+        m.pages.(p) <- page;
+        page
+      end
+    in
+    let i = s land (page_slots - 1) in
+    if Bytes.unsafe_get page i == unset then m.bound <- m.bound + 1;
+    match v with
+    | Value.Int x ->
+        Bytes.unsafe_set page i tag_int;
+        set64u page (payload i) x
+    | Value.Float f ->
+        Bytes.unsafe_set page i tag_float;
+        set64u page (payload i) (Int64.bits_of_float f)
+  end
+  else Int_tbl.replace m.table addr v
 
 let global_addr (g : Program.global) i =
   if i < 0 || i >= g.Program.elems then
@@ -127,18 +231,38 @@ let poke_global t g i v = poke t (global_addr g i) v
 
 let peek_global t g i = peek t (global_addr g i)
 
-(* [poke] only ever [Int_tbl.replace]s, so each address has one binding;
-   sorting makes the snapshot independent of hash order. *)
+(* Pages are walked in address order; the table's few bindings are sorted
+   and merged in, so the image itself is never sorted. *)
 let memory_contents t =
-  let arr = Array.make (Int_tbl.length t.mem) (0, Value.zero) in
-  let i = ref 0 in
+  let m = t.mem in
+  let extra = Array.make (Int_tbl.length m.table) (0, Value.zero) in
+  let n = ref 0 in
   Int_tbl.iter
     (fun addr v ->
-      arr.(!i) <- (addr, v);
-      incr i)
-    t.mem;
-  Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) arr;
-  arr
+      extra.(!n) <- (addr, v);
+      incr n)
+    m.table;
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) extra;
+  let out = Array.make (m.bound + Array.length extra) (0, Value.zero) in
+  let k = ref 0 and j = ref 0 in
+  Array.iteri
+    (fun p page ->
+      if page != no_page then
+        for i = 0 to page_slots - 1 do
+          if Bytes.unsafe_get page i != unset then begin
+            let addr = m.lo + (((p lsl page_bits) + i) lsl 2) in
+            while !j < Array.length extra && fst extra.(!j) < addr do
+              out.(!k) <- extra.(!j);
+              incr k;
+              incr j
+            done;
+            out.(!k) <- (addr, slot_value page i);
+            incr k
+          end
+        done)
+    m.pages;
+  Array.blit extra !j out !k (Array.length extra - !j);
+  out
 
 (* [dst] is a valid tile id: sends check it, receivers pass their own. *)
 let channel_queue t ~dst ~chan =

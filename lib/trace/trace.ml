@@ -180,12 +180,14 @@ let read_string r =
   r.pos <- r.pos + n;
   s
 
-let read_framed r =
+(* A frame is decoded where it lies in [r.data]; [decode] never reads
+   past the frame's end. *)
+let read_framed r decode =
   let n = read_varint r in
   need r n;
-  let b = Bytes.sub r.data r.pos n in
+  let v = decode r.data r.pos n in
   r.pos <- r.pos + n;
-  b
+  v
 
 let read_value r =
   need r 9;
@@ -204,11 +206,11 @@ let read_tile r =
   let tile = read_varint r in
   let kernel = read_string r in
   let dyn_instrs = read_varint r in
-  let bb_path = Encode.decode_control (read_framed r) in
+  let bb_path = read_framed r Encode.decode_control_sub in
   let nmem = read_varint r in
   let mem_addrs = Array.make nmem [||] in
   for i = 0 to nmem - 1 do
-    mem_addrs.(i) <- Encode.decode_addrs (read_framed r)
+    mem_addrs.(i) <- read_framed r Encode.decode_addrs_sub
   done;
   let naccel = read_varint r in
   let accel_params = Array.make naccel [||] in
@@ -228,7 +230,7 @@ let read_tile r =
   let nsend = read_varint r in
   let send_dsts = Array.make nsend [||] in
   for i = 0 to nsend - 1 do
-    send_dsts.(i) <- Encode.decode_addrs (read_framed r)
+    send_dsts.(i) <- read_framed r Encode.decode_addrs_sub
   done;
   { tile; kernel; bb_path; mem_addrs; accel_params; send_dsts; dyn_instrs }
 
@@ -248,14 +250,12 @@ let of_bytes data =
   need r 16;
   let md5 = Bytes.sub_string data r.pos 16 in
   r.pos <- r.pos + 16;
-  let payload = Bytes.sub data r.pos (Bytes.length data - r.pos) in
-  if Digest.bytes payload <> md5 then
+  if Digest.subbytes data r.pos (Bytes.length data - r.pos) <> md5 then
     fail "corrupt trace (payload checksum mismatch)";
   (* The checksum vouches for the payload, so decode errors past this point
      would be encoder bugs — still surfaced as Format_error, not a crash. *)
   let trace =
     try
-      let r = { data = payload; pos = 0 } in
       let kernel = read_string r in
       let ntiles = read_varint r in
       let n = read_varint r in

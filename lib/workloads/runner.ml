@@ -44,36 +44,46 @@ let trace_hetero ?check inst ~tiles =
    (cheap, and the post-setup memory image is part of the cache key); only
    the expensive [Interp.run] is skipped on a hit. On a miss the prepared
    interpreter is consumed by [Store.fetch]'s generate thunk, so the trace
-   a hit returns is bit-identical to the one a miss would have produced. *)
-let cached ?(check = true) inst ~label ~tiles it =
-  Span.with_span "trace_gen" (fun () ->
-      Mosaic_accel.Accel_kinds.register_functional it;
-      inst.setup it;
-      let digest =
-        Store.workload_digest ~program:inst.program ~label ~tiles
-          ~mem:(Interp.memory_contents it)
-      in
-      Store.fetch ~digest ~generate:(fun () -> run_checked ~check inst it))
+   a hit returns is bit-identical to the one a miss would have produced.
+   A request is the fresh interpreter plus the label and tile assignment
+   the key names; [prepare] is the only code that computes a key. *)
+let prepare inst (it, label, tiles) =
+  Mosaic_accel.Accel_kinds.register_functional it;
+  inst.setup it;
+  Store.workload_digest ~program:inst.program ~label ~tiles
+    ~mem:(Interp.memory_contents it)
 
-let trace_cached_full ?check inst ~ntiles =
+let homogeneous inst ~ntiles =
   Validate.check_exn inst.program;
   let it =
     Interp.create inst.program ~kernel:inst.kernel ~ntiles ~args:inst.args
   in
-  cached ?check inst ~label:inst.kernel
-    ~tiles:(Array.make ntiles (inst.kernel, inst.args))
-    it
+  (it, inst.kernel, Array.make ntiles (inst.kernel, inst.args))
+
+let hetero inst ~tiles =
+  Validate.check_exn inst.program;
+  (Interp.create_hetero inst.program ~label:inst.name ~tiles, inst.name, tiles)
+
+let cached ?(check = true) inst ((it, _, _) as request) =
+  Span.with_span "trace_gen" (fun () ->
+      let digest = prepare inst request in
+      Store.fetch ~digest ~generate:(fun () -> run_checked ~check inst it))
+
+let trace_cached_full ?check inst ~ntiles =
+  cached ?check inst (homogeneous inst ~ntiles)
 
 let trace_cached ?check inst ~ntiles =
   fst (trace_cached_full ?check inst ~ntiles)
 
 let trace_hetero_cached_full ?check inst ~tiles =
-  Validate.check_exn inst.program;
-  let it = Interp.create_hetero inst.program ~label:inst.name ~tiles in
-  cached ?check inst ~label:inst.name ~tiles it
+  cached ?check inst (hetero inst ~tiles)
 
 let trace_hetero_cached ?check inst ~tiles =
   fst (trace_hetero_cached_full ?check inst ~tiles)
+
+let cache_digest inst ~ntiles = prepare inst (homogeneous inst ~ntiles)
+
+let cache_digest_hetero inst ~tiles = prepare inst (hetero inst ~tiles)
 
 let execute inst ~ntiles =
   Validate.check_exn inst.program;

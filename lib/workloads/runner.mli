@@ -61,6 +61,15 @@ val trace_hetero_cached_full :
   tiles:(string * Mosaic_ir.Value.t list) array ->
   Mosaic_trace.Trace.t * Mosaic_trace.Store.info
 
+(** [cache_digest instance ~ntiles] is the trace-store key that
+    {!trace_cached} uses for the same request, computed the same way —
+    dataset set-up and the memory snapshot, no interpretation.
+    [cache_digest_hetero] does the same for {!trace_hetero_cached}. *)
+val cache_digest : t -> ntiles:int -> string
+
+val cache_digest_hetero :
+  t -> tiles:(string * Mosaic_ir.Value.t list) array -> string
+
 (** Run the interpreter and return it (for tests that inspect memory). *)
 val execute : t -> ntiles:int -> Mosaic_trace.Interp.t * Mosaic_trace.Trace.t
 

@@ -232,6 +232,50 @@ let prop_addr_roundtrip =
     QCheck.(array_of_size (QCheck.Gen.int_range 0 200) (int_range 0 1_000_000))
     (fun addrs -> Encode.decode_addrs (Encode.encode_addrs addrs) = addrs)
 
+(* The decoders take one-byte block ids and address deltas of up to four
+   bytes by a fast path; these generators also reach the general path
+   (wide ids, deltas of any size, including ones that overflow zig-zag). *)
+let wide_int =
+  QCheck.Gen.(
+    oneof [ int_range 0 127; int_range 0 (1 lsl 30); int_range (-1000) 1000; int ])
+
+let prop_control_roundtrip_wide =
+  QCheck.Test.make ~name:"control encoding roundtrips (any id)" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          array_size (int_range 0 200)
+            (oneof [ int_range 0 3; int_range 0 127; wide_int ])))
+    (fun path -> Encode.decode_control (Encode.encode_control path) = path)
+
+let prop_addr_roundtrip_wide =
+  QCheck.Test.make ~name:"address encoding roundtrips (any delta)" ~count:200
+    QCheck.(make Gen.(array_size (int_range 0 200) wide_int))
+    (fun addrs -> Encode.decode_addrs (Encode.encode_addrs addrs) = addrs)
+
+(* A frame is decoded in place: bytes either side of it, here all 0x80
+   (a varint continuation), must neither be read nor change the result,
+   and a frame cut short must fail rather than run on into them. *)
+let test_decode_in_place () =
+  let pad = Bytes.make 7 '\x80' in
+  let embed b = Bytes.concat Bytes.empty [ pad; b; pad ] in
+  let path = Array.init 300 (fun i -> if i mod 7 = 0 then 200 + i else i mod 3) in
+  let addrs = [| 0; 1 lsl 40; 5; max_int; min_int; 64; 64 + 128 |] in
+  let ctl = Encode.encode_control path and adr = Encode.encode_addrs addrs in
+  Alcotest.(check (array int))
+    "control in place" path
+    (Encode.decode_control_sub (embed ctl) 7 (Bytes.length ctl));
+  Alcotest.(check (array int))
+    "addresses in place" addrs
+    (Encode.decode_addrs_sub (embed adr) 7 (Bytes.length adr));
+  let cut decode b =
+    match decode (embed b) 7 (Bytes.length b - 1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "cut control frame fails" true (cut Encode.decode_control_sub ctl);
+  checkb "cut address frame fails" true (cut Encode.decode_addrs_sub adr)
+
 let test_compressed_trace_smaller () =
   let inst = Mosaic_workloads.Registry.instance "stencil" in
   let trace = Mosaic_workloads.Runner.trace inst ~ntiles:1 in
@@ -268,5 +312,8 @@ let suite =
         Alcotest.test_case "whole trace shrinks" `Quick test_compressed_trace_smaller;
         QCheck_alcotest.to_alcotest prop_control_roundtrip;
         QCheck_alcotest.to_alcotest prop_addr_roundtrip;
+        QCheck_alcotest.to_alcotest prop_control_roundtrip_wide;
+        QCheck_alcotest.to_alcotest prop_addr_roundtrip_wide;
+        Alcotest.test_case "decode in place" `Quick test_decode_in_place;
       ] );
   ]

@@ -349,6 +349,185 @@ let prop_expr_agrees =
       let _ = Interp.run it in
       Value.to_int64 (Interp.peek_global it out 0) = eval_expr e)
 
+(* The committed CLI fixture for run errors really deadlocks. *)
+let test_deadlock_fixture () =
+  let inst =
+    Mosaic_workloads.Mir_workload.load_file "golden/run_errors/deadlock.mir"
+  in
+  match Mosaic_workloads.Runner.trace inst ~ntiles:1 with
+  | _ -> Alcotest.fail "fixture ran to completion"
+  | exception Interp.Deadlock msg ->
+      let needle = "blocked on recv" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1))
+      in
+      checkb "message names the recv" true (has 0)
+
+(* --- memory image --- *)
+
+(* Values compared bit for bit: a NaN payload or the sign of a zero is part
+   of what the trace digest sees. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> Int64.equal x y
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> false
+
+let same_contents expected actual =
+  List.length expected = Array.length actual
+  && List.for_all2
+       (fun (a, v) (b, w) -> a = b && same_value v w)
+       expected (Array.to_list actual)
+
+module Int_map = Map.Make (Int)
+
+(* The first global spans several image pages, so the model test crosses
+   page boundaries; a byte-sized tail ends the span one byte past a
+   16 KB page boundary, so the last aligned word opens a page of its own. *)
+let image_prog () =
+  let p = Program.create () in
+  let big = Program.alloc p "big" ~elems:3000 ~elem_size:8 in
+  let small = Program.alloc p "small" ~elems:37 ~elem_size:4 in
+  let tail_base = (Program.heap_end p + 63) / 64 * 64 in
+  let span = (2 * 4 * 4096) + 1 in
+  let _ =
+    Program.alloc p "tail" ~elem_size:1
+      ~elems:(big.Program.base + span - tail_base)
+  in
+  let _ = B.define p "k" ~nparams:0 (fun b -> B.ret b ()) in
+  (p, big, small)
+
+let value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int (Int64.of_int i)) int;
+        oneofl
+          [
+            Value.Int Int64.min_int; Value.Int Int64.max_int; Value.Int 0L;
+            Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan;
+            Value.Float (Int64.float_of_bits 0x7ff0_0000_0000_0001L);
+            Value.Float (Int64.float_of_bits 0xfff8_dead_beef_0001L);
+            Value.Float Float.neg_infinity;
+          ];
+        map (fun f -> Value.Float f) float;
+      ])
+
+let addr_gen ~lo ~hi =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> lo + (4 * i)) (int_bound ((hi - lo) / 4));
+        map (fun i -> lo + i) (int_bound (hi - lo));
+        map (fun i -> -1 - i) (int_bound 4096);
+        map (fun i -> hi + i) (int_bound 4096);
+        oneofl
+          [ lo; lo + 4; hi - 4; (hi - 1) land lnot 3; hi - 1; hi; 0; min_int;
+            max_int ];
+      ])
+
+type mem_op = Poke of int * Value.t | Peek of int
+
+let prop_memory_model =
+  let p, _, _ = image_prog () in
+  let lo = (List.hd (Program.globals p)).Program.base
+  and hi = Program.heap_end p in
+  let op_gen =
+    QCheck.Gen.(
+      let addr = addr_gen ~lo ~hi in
+      frequency
+        [
+          (3, map2 (fun a v -> Poke (a, v)) addr value_gen);
+          (2, map (fun a -> Peek a) addr);
+        ])
+  in
+  let print_op = function
+    | Poke (a, v) -> Printf.sprintf "poke %d %s" a (Value.to_string v)
+    | Peek a -> Printf.sprintf "peek %d" a
+  in
+  QCheck.Test.make ~name:"memory image agrees with a map model" ~count:200
+    QCheck.(
+      make ~print:Print.(list print_op) ~shrink:Shrink.list
+        Gen.(list_size (0 -- 300) op_gen))
+    (fun ops ->
+      let it = single_tile p "k" [] in
+      let model =
+        List.fold_left
+          (fun model op ->
+            match op with
+            | Poke (a, v) ->
+                Interp.poke it a v;
+                Int_map.add a v model
+            | Peek a ->
+                let expected =
+                  Option.value ~default:Value.zero (Int_map.find_opt a model)
+                in
+                if not (same_value expected (Interp.peek it a)) then
+                  QCheck.Test.fail_reportf "peek %d disagrees" a;
+                model)
+          Int_map.empty ops
+      in
+      same_contents (Int_map.bindings model) (Interp.memory_contents it))
+
+let test_late_global () =
+  let p, big, _ = image_prog () in
+  let it = single_tile p "k" [] in
+  let late = Program.alloc p "late" ~elems:4 ~elem_size:8 in
+  Interp.poke_global it late 3 (Value.of_int 7);
+  Interp.poke_global it big 1 (Value.of_float 2.5);
+  Interp.poke_global it late 0 (Value.of_float (-1.0));
+  checki "late read back" 7 (Value.to_int (Interp.peek_global it late 3));
+  checkf "late float read back" (-1.0)
+    (Value.to_float (Interp.peek_global it late 0));
+  checki "late unset is zero" 0 (Value.to_int (Interp.peek_global it late 1));
+  let addr g i = g.Program.base + (i * g.Program.elem_size) in
+  checkb "contents in address order" true
+    (same_contents
+       [
+         (addr big 1, Value.of_float 2.5);
+         (addr late 0, Value.of_float (-1.0));
+         (addr late 3, Value.of_int 7);
+       ]
+       (Interp.memory_contents it))
+
+let test_poked_zero_is_bound () =
+  let p, big, small = image_prog () in
+  let it = single_tile p "k" [] in
+  checki "fresh memory is empty" 0 (Array.length (Interp.memory_contents it));
+  Interp.poke_global it small 2 Value.zero;
+  Interp.poke_global it big 0 (Value.of_float 0.0);
+  checkb "zeros are bindings" true
+    (same_contents
+       [
+         (big.Program.base, Value.of_float 0.0);
+         (small.Program.base + 8, Value.zero);
+       ]
+       (Interp.memory_contents it))
+
+(* A 2^40-byte global: the image must not be built eagerly, and its span
+   is capped, so the far end lands in the fallback table. *)
+let test_huge_global () =
+  let p = Program.create () in
+  let elems = 1 lsl 37 in
+  let huge = Program.alloc p "huge" ~elems ~elem_size:8 in
+  let _ = B.define p "k" ~nparams:0 (fun b -> B.ret b ()) in
+  let t0 = Sys.time () in
+  let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  let it = single_tile p "k" [] in
+  Interp.poke_global it huge 0 (Value.of_int 1);
+  Interp.poke_global it huge (elems - 1) (Value.of_float 2.0);
+  checki "first element" 1 (Value.to_int (Interp.peek_global it huge 0));
+  checkf "last element" 2.0
+    (Value.to_float (Interp.peek_global it huge (elems - 1)));
+  checki "middle unset" 0 (Value.to_int (Interp.peek_global it huge (elems / 2)));
+  checki "two bindings" 2 (Array.length (Interp.memory_contents it));
+  let grown = (Gc.quick_stat ()).Gc.heap_words - heap0 in
+  let elapsed = Sys.time () -. t0 in
+  checkb (Printf.sprintf "heap grew by %d words" grown) true (grown < 1 lsl 20);
+  checkb (Printf.sprintf "took %.3f s" elapsed) true (elapsed < 0.5)
+
 let suite =
   [
     ( "interp.semantics",
@@ -382,5 +561,15 @@ let suite =
         Alcotest.test_case "step limit" `Quick test_step_limit;
         Alcotest.test_case "bad arg count" `Quick test_bad_args;
         Alcotest.test_case "single run" `Quick test_run_once;
+        Alcotest.test_case "deadlock fixture" `Quick test_deadlock_fixture;
+      ] );
+    ( "interp.memory",
+      [
+        QCheck_alcotest.to_alcotest prop_memory_model;
+        Alcotest.test_case "global allocated after create" `Quick
+          test_late_global;
+        Alcotest.test_case "poked zero is a binding" `Quick
+          test_poked_zero_is_bound;
+        Alcotest.test_case "2^40-byte global" `Quick test_huge_global;
       ] );
   ]

@@ -389,6 +389,48 @@ let test_gc_lru_pruning () =
   Store.set_cache_dir `Disabled;
   checkb "disabled cache has no report" true (Store.gc () = None)
 
+(* Absolute trace-cache keys, pinned in test/golden/workload_digests.txt.
+   The .mir twin tests only compare instances with each other, so a change
+   to the memory snapshot that moved both twins would pass them while
+   invalidating every cached trace. [Runner.cache_digest] is the key the
+   cached trace functions use; it runs dataset set-up only. *)
+let digest_lines () =
+  let homog name ntiles =
+    Printf.sprintf "%s %d %s" name ntiles
+      (W.Runner.cache_digest (W.Registry.instance name) ~ntiles)
+  in
+  let dae =
+    let inst, _ =
+      W.Projection.dae_instance ~n_left:64 ~n_right:128 ~degree:8 ()
+    in
+    let k = inst.W.Runner.kernel in
+    let tiles =
+      Array.init 4 (fun i ->
+          ((if i < 2 then k ^ "_access" else k ^ "_execute"), inst.W.Runner.args))
+    in
+    Printf.sprintf "projection-dae-n_left64-n_right128 pairs2 %s"
+      (W.Runner.cache_digest_hetero inst ~tiles)
+  in
+  List.map (fun n -> homog n 1) W.Registry.all_names
+  @ List.map (fun n -> homog n 4) [ "bfs"; "histo"; "spmv" ]
+  @ [ dae ]
+
+let test_workload_digests_pinned () =
+  let path = "golden/workload_digests.txt" in
+  let expected =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = digest_lines () in
+  if actual <> expected then
+    Alcotest.failf
+      "trace-cache keys moved, which invalidates every cached trace. If \
+       the change is deliberate, bump Store.semantics_version and replace \
+       %s with:\n%s"
+      path
+      (String.concat "\n" actual)
+
 let suite =
   [
     ( "trace_store.format",
@@ -415,5 +457,7 @@ let suite =
         Alcotest.test_case "datasets key digests" `Quick
           test_different_datasets_different_digests;
         Alcotest.test_case "gc prunes LRU-by-mtime" `Quick test_gc_lru_pruning;
+        Alcotest.test_case "workload digests pinned" `Quick
+          test_workload_digests_pinned;
       ] );
   ]
