@@ -975,38 +975,6 @@ let characterize_cmd =
        ~doc:"Locality and instruction-mix characterization from traces")
     Term.(const run $ benchmark_arg $ tiles_arg)
 
-let asm_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Textual IR file (see the dump command)")
-  in
-  let run file tiles core system no_skip =
-    let text = In_channel.with_open_text file In_channel.input_all in
-    let prog = Mosaic_ir.Parse.program text in
-    let kernel =
-      match Mosaic_ir.Program.funcs prog with
-      | f :: _ -> f.Mosaic_ir.Func.name
-      | [] -> failwith "no kernel in file"
-    in
-    let nparams = (Mosaic_ir.Program.func_exn prog kernel).Mosaic_ir.Func.nparams in
-    if nparams > 0 then
-      failwith "asm run supports parameterless kernels; bake sizes into the IR";
-    let it = Mosaic_trace.Interp.create prog ~kernel ~ntiles:tiles ~args:[] in
-    let trace = obtain file (fun () -> Mosaic_trace.Interp.run it) in
-    let r =
-      Soc.run_homogeneous
-        (apply_no_skip no_skip (system_of_string system))
-        ~program:prog ~trace ~tile_config:(core_of_string core)
-    in
-    print_result (Filename.basename file) r
-  in
-  Cmd.v
-    (Cmd.info "asm" ~doc:"Assemble and simulate a textual IR file")
-    Term.(
-      const run $ file_arg $ tiles_arg $ core_arg $ system_arg $ no_skip_arg)
-
 let cc_cmd =
   let file_arg =
     Arg.(
@@ -1221,7 +1189,7 @@ let main =
   Cmd.group (Cmd.info "mosaicsim" ~version:"0.1.0" ~doc)
     [
       list_cmd; run_cmd; bench_cmd; sweep_cmd; profile_cmd; dump_cmd;
-      trace_cmd; trace_stats_cmd; dse_cmd; dnn_cmd; asm_cmd; cc_cmd; dae_cmd;
+      trace_cmd; trace_stats_cmd; dse_cmd; dnn_cmd; cc_cmd; dae_cmd;
       characterize_cmd; fmt_cmd; version_cmd; diff_cmd;
     ]
 

@@ -124,6 +124,11 @@ type accel_manager = {
           (treated as clock-gated for static power) *)
 }
 
+let design_of cfg kind =
+  match List.assoc_opt kind cfg.accel_designs with
+  | Some d -> d
+  | None -> Accel_model.default_design
+
 let accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle =
   mgr.active <- List.filter (fun f -> f > cycle) mgr.active;
   let concurrent = 1 + List.length mgr.active in
@@ -135,13 +140,11 @@ let accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle =
         sys.Accel_model.mem_bw_bytes_per_cycle /. float_of_int concurrent;
     }
   in
-  let design =
-    match List.assoc_opt kind cfg.accel_designs with
-    | Some d -> d
-    | None -> Accel_model.default_design
-  in
   let w = Accel_kinds.workload kind params in
-  let est = Accel_model.estimate_traced ~sink ~tile ~kind ~cycle sys design w in
+  let est =
+    Accel_model.estimate_traced ~sink ~tile ~kind ~cycle sys
+      (design_of cfg kind) w
+  in
   (* Non-coherent DMA: traffic goes straight to DRAM, contending with the
      cores' misses. Charged at invocation time. *)
   ignore
@@ -266,14 +269,14 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
      hierarchy) runs in parallel; every operation on shared state — the
      interleaver, shared cache levels, DRAM, the directory, the
      accelerator manager — is funneled through [Shard_sync] at the exact
-     point (visited cycle, tile id) the serial scheduler would have
-     executed it, so all counters come out bit-identical. Event streams
-     would interleave nondeterministically across domains, so an enabled
-     sink forces the serial scheduler. *)
+     point (visited cycle, tile id) a single shard would have executed
+     it, so all counters come out bit-identical. Event streams would
+     interleave nondeterministically across domains, so an enabled sink
+     forces one shard. *)
   let nshards =
     let s = Stdlib.min cfg.shards ntiles in
     (* Sampling drives drains, fast-forwards and phase transitions from
-       the serial scheduler's loop top; force serial when sampling. *)
+       the loop top; force one shard when sampling. *)
     if s > 1 && (not (Sink.enabled sink)) && sample = None then s else 1
   in
   let sync =
@@ -291,63 +294,47 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   (* Each slot is written only by its owning domain; comm callbacks read
      the caller's own slot, so there is no cross-domain access. *)
   let cur_seq = Array.make nshards 0 in
-  let comm =
-    let direct_mem ~tile ~cycle ~addr ~is_write =
-      Hierarchy.access hier ~tile ~cycle ~addr ~is_write
-    in
+  (* Take the acting tile's turn in the global shared-state order:
+     returns once every other shard has swept past this point. Serially
+     every operation is already in that order. *)
+  let order =
     match sync with
-    | None ->
-        {
-          Core_tile.send =
-            (fun ~src ~dst ~chan ~cycle ~available ->
-              Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
-          try_recv =
-            (fun ~tile ~chan ~cycle ->
-              Interleaver.try_recv inter ~tile ~chan ~cycle);
-          take_or_owe =
-            (fun ~tile ~chan -> Interleaver.take_or_owe inter ~tile ~chan);
-          accel =
-            (fun ~tile ~kind ~params ~cycle ->
-              accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
-          mem_access = direct_mem;
-        }
+    | None -> fun _ -> ()
     | Some sync ->
         let module Sync = Mosaic_util.Shard_sync in
-        (* Take the acting tile's turn in the global shared-state order:
-           returns once every other shard has swept past this point. *)
-        let order tile =
+        fun tile ->
           let shard = shard_of.(tile) in
           Sync.wait_order sync ~shard
             ~point:(Sync.point ~seq:cur_seq.(shard) ~tile)
-        in
-        let fast_private = Hierarchy.private_only_config hier in
-        {
-          Core_tile.send =
-            (fun ~src ~dst ~chan ~cycle ~available ->
-              order src;
-              Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
-          try_recv =
-            (fun ~tile ~chan ~cycle ->
-              order tile;
-              Interleaver.try_recv inter ~tile ~chan ~cycle);
-          take_or_owe =
-            (fun ~tile ~chan ->
-              order tile;
-              Interleaver.take_or_owe inter ~tile ~chan);
-          accel =
-            (fun ~tile ~kind ~params ~cycle ->
-              order tile;
-              accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
-          mem_access =
-            (fun ~tile ~cycle ~addr ~is_write ->
-              (* An L1 hit under a private-only hierarchy touches only the
-                 tile's own cache state and commutes with every shared
-                 operation — the common case, and the whole source of
-                 parallelism on memory-bound workloads. *)
-              if not (fast_private && Hierarchy.hits_private hier ~tile ~addr)
-              then order tile;
-              Hierarchy.access hier ~tile ~cycle ~addr ~is_write);
-        }
+  in
+  (* An L1 hit under a private-only hierarchy touches only the tile's own
+     cache state and commutes with every shared operation — the common
+     case, and the whole source of parallelism on memory-bound workloads. *)
+  let fast_private = sync <> None && Hierarchy.private_only_config hier in
+  let comm =
+    {
+      Core_tile.send =
+        (fun ~src ~dst ~chan ~cycle ~available ->
+          order src;
+          Interleaver.send inter ~src ~dst ~chan ~cycle ~available);
+      try_recv =
+        (fun ~tile ~chan ~cycle ->
+          order tile;
+          Interleaver.try_recv inter ~tile ~chan ~cycle);
+      take_or_owe =
+        (fun ~tile ~chan ->
+          order tile;
+          Interleaver.take_or_owe inter ~tile ~chan);
+      accel =
+        (fun ~tile ~kind ~params ~cycle ->
+          order tile;
+          accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle);
+      mem_access =
+        (fun ~tile ~cycle ~addr ~is_write ->
+          if not (fast_private && Hierarchy.hits_private hier ~tile ~addr)
+          then order tile;
+          Hierarchy.access hier ~tile ~cycle ~addr ~is_write);
+    }
   in
   let profiles =
     Array.map
@@ -476,13 +463,8 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
              energy, but no DMA burst, busy accounting or bandwidth
              sharing — timing in fast-forwarded stretches is extrapolated,
              not simulated. *)
-          let design =
-            match List.assoc_opt kind cfg.accel_designs with
-            | Some d -> d
-            | None -> Accel_model.default_design
-          in
           let w = Accel_kinds.workload kind params in
-          let est = Accel_model.estimate cfg.accel_sys design w in
+          let est = Accel_model.estimate cfg.accel_sys (design_of cfg kind) w in
           mgr.invocations <- mgr.invocations + 1;
           let pj = est.Accel_model.energy_j *. 1e12 in
           mgr.energy_pj_total <- mgr.energy_pj_total +. pj;
@@ -510,8 +492,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   in
   (* Minimum next-event view across every component, evaluated at a
      globally quiescent [cycle]; [max_int] means nothing can ever wake (a
-     true deadlock). Shared verbatim by both schedulers so the sharded
-     reducer takes exactly the serial skip decisions. *)
+     true deadlock). *)
   let min_next_event at =
     let next = ref max_int in
     let consider = function
@@ -525,164 +506,122 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
     List.iter (fun finish -> consider (Some finish)) mgr.active;
     !next
   in
-  let max_cycles_failure () =
-    failwith
-      (Printf.sprintf "Soc.run: exceeded max_cycles=%d (deadlock?)"
-         cfg.max_cycles)
+  (* Work due before sweeping a visited cycle. *)
+  let loop_top () =
+    if !cycle >= cfg.max_cycles then
+      failwith
+        (Printf.sprintf "Soc.run: exceeded max_cycles=%d (deadlock?)"
+           cfg.max_cycles);
+    maybe_checkpoint ();
+    match sampler with Some d -> Sample.tick d ~cycle:!cycle | None -> ()
   in
-  (match sync with
-  | None ->
-      while !finished_count < ntiles do
-        if !cycle >= cfg.max_cycles then max_cycles_failure ();
-        maybe_checkpoint ();
-        (match sampler with
-        | Some d -> Sample.tick d ~cycle:!cycle
+  (* Per-shard sweep outcomes: each slot is written by its owner before
+     the end of the cycle and read by [end_of_cycle]. *)
+  let progress_of = Array.make nshards false in
+  let newly_finished = Array.make nshards 0 in
+  let stop = ref false in
+  (* End-of-cycle decision, run once per visited cycle: serially after the
+     sweep, sharded by whichever shard reaches the barrier last, when every
+     shard is parked and all tiles may be read. The interleaver's
+     next-arrival view drains its pqueue, so only this reducer may
+     evaluate it. *)
+  let end_of_cycle () =
+    incr stepped;
+    progress_tick !stepped !cycle;
+    let progress = ref false in
+    for k = 0 to nshards - 1 do
+      if progress_of.(k) then progress := true;
+      finished_count := !finished_count + newly_finished.(k)
+    done;
+    if sampling && !cycle >= !next_sample then begin
+      emit_samples ();
+      next_sample := !cycle + sample_interval
+    end;
+    (if !progress || not cfg.cycle_skip then incr cycle
+     else begin
+       (* Globally quiescent cycle: no tile processed an event, launched,
+          issued or retired anything. Whatever each tile is blocked on is
+          either a queued future event (reported below) or another
+          component's progress — and nothing progressed, so the earliest
+          possible state change is the minimum over all next-event views.
+          Jump straight there; the intervening cycles are provably
+          identical no-ops, so the simulated cycle count is unchanged. *)
+       let next = min_next_event !cycle in
+       let target =
+         if next = max_int then
+           (* Jump to the cap so a deadlock surfaces with the same
+              max_cycles failure as the naive sweep. *)
+           cfg.max_cycles
+         else Stdlib.min next cfg.max_cycles
+       in
+       let target =
+         match sampler with
+         | Some d -> Stdlib.min target (Sample.skip_cap d ~cycle:!cycle)
+         | None -> target
+       in
+       (* Skipped cycles are provably identical no-ops, so each tile's
+          attribution over the stretch is its frozen last-swept-cycle
+          cause; booking it keeps per-tile attribution bit-identical with
+          and without cycle skipping (and summing to [cycles]). Booked
+          before the next visit's checkpoint, so a snapshot carries it. *)
+       if profile then begin
+         let skipped = target - !cycle - 1 in
+         if skipped > 0 then
+           for i = 0 to ntiles - 1 do
+             Profile.book_repeat profiles.(i) skipped
+           done
+       end;
+       cycle := target
+     end);
+    if !finished_count >= ntiles then stop := true else loop_top ()
+  in
+  (* Step tiles [bounds.(k) .. bounds.(k+1)-1] cycle by cycle until the
+     reducer stops the run. Serially [k = 0] covers every tile. *)
+  let sweep k =
+    let module Sync = Mosaic_util.Shard_sync in
+    let lo = bounds.(k) and hi = bounds.(k + 1) in
+    let seq = ref 0 in
+    while not !stop do
+      let c = !cycle in
+      let prog = ref false in
+      let fin = ref 0 in
+      for t = lo to hi - 1 do
+        (* Announce the turn before stepping: shared ops by tiles above
+           [t] (on any shard) now wait for us. *)
+        (match sync with
+        | Some sync ->
+            Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:t)
         | None -> ());
-        let progress = ref false in
-        for i = 0 to ntiles - 1 do
-          let c = cores.(i) in
-          if Core_tile.step c ~cycle:!cycle then progress := true;
-          if (not finished_flags.(i)) && Core_tile.finished c then begin
-            finished_flags.(i) <- true;
-            incr finished_count
-          end
-        done;
-        incr stepped;
-        progress_tick !stepped !cycle;
-        if sampling && !cycle >= !next_sample then begin
-          emit_samples ();
-          next_sample := !cycle + sample_interval
-        end;
-        if !progress || not cfg.cycle_skip then incr cycle
-        else begin
-          (* Globally quiescent cycle: no tile processed an event, launched,
-             issued or retired anything. Whatever each tile is blocked on is
-             either a queued future event (reported below) or another
-             component's progress — and nothing progressed, so the earliest
-             possible state change is the minimum over all next-event views.
-             Jump straight there; the intervening cycles are provably
-             identical no-ops, so the simulated cycle count is unchanged. *)
-          let next = min_next_event !cycle in
-          let target =
-            if next = max_int then
-              (* Jump to the cap so a deadlock surfaces with the same
-                 max_cycles failure as the naive sweep. *)
-              cfg.max_cycles
-            else Stdlib.min next cfg.max_cycles
-          in
-          let target =
-            match sampler with
-            | Some d -> Stdlib.min target (Sample.skip_cap d ~cycle:!cycle)
-            | None -> target
-          in
-          (* Skipped cycles are provably identical no-ops, so each tile's
-             attribution over the stretch is its frozen last-swept-cycle
-             cause; booking it keeps per-tile attribution bit-identical with
-             and without cycle skipping (and summing to [cycles]). *)
-          if profile then begin
-            let skipped = target - !cycle - 1 in
-            if skipped > 0 then
-              for i = 0 to ntiles - 1 do
-                Profile.book_repeat profiles.(i) skipped
-              done
-          end;
-          cycle := target
+        let core = cores.(t) in
+        if Core_tile.step core ~cycle:c then prog := true;
+        if (not finished_flags.(t)) && Core_tile.finished core then begin
+          finished_flags.(t) <- true;
+          incr fin
         end
-      done
-  | Some sync when !finished_count < ntiles ->
-      let module Sync = Mosaic_util.Shard_sync in
-      (* The serial loop fails at the top of its first iteration when the
-         cap is non-positive; replicate before spawning any domain. *)
-      if !cycle >= cfg.max_cycles then max_cycles_failure ();
-      (* Same capture point as the serial loop top: before sweeping the
-         first visited cycle (later cycles are handled by the reducer). *)
-      maybe_checkpoint ();
-      (* Per-shard sweep outcomes (each slot written by its owner before
-         the barrier, read by the reducer) and the reducer's decisions
-         (written under the barrier, read by every shard after it). *)
-      let progress_of = Array.make nshards false in
-      let newly_finished = Array.make nshards 0 in
-      let next_cycle = ref 0 in
-      let book = ref 0 in
-      let stop = ref false in
-      (* End-of-cycle decision, run once per visited cycle by whichever
-         shard reaches the barrier last — the exact serial sequence:
-         count progress, advance or skip, then stop or cap-check. The
-         interleaver's next-arrival view drains its pqueue, so only the
-         reducer may evaluate it. *)
-      let reduce () =
-        incr stepped;
-        progress_tick !stepped !cycle;
-        let progress = ref false in
-        for k = 0 to nshards - 1 do
-          if progress_of.(k) then progress := true;
-          finished_count := !finished_count + newly_finished.(k)
-        done;
-        book := 0;
-        let c = !cycle in
-        (if !progress || not cfg.cycle_skip then next_cycle := c + 1
-         else begin
-           let next = min_next_event c in
-           let target =
-             if next = max_int then cfg.max_cycles
-             else Stdlib.min next cfg.max_cycles
-           in
-           book := target - c - 1;
-           next_cycle := target
-         end);
-        cycle := !next_cycle;
-        (* Under the barrier every shard is parked, so reading all tiles
-           here matches the serial loop-top capture point exactly. *)
-        maybe_checkpoint ();
-        if !finished_count >= ntiles then stop := true
-        else if !cycle >= cfg.max_cycles then max_cycles_failure ()
-      in
-      Sync.run sync (fun k ->
-          let lo = bounds.(k) and hi = bounds.(k + 1) in
-          let seq = ref 0 in
-          let my_cycle = ref !cycle in
-          let running = ref true in
-          while !running do
-            let c = !my_cycle in
-            let prog = ref false in
-            let fin = ref 0 in
-            for t = lo to hi - 1 do
-              (* Announce the turn before stepping: shared ops by tiles
-                 above [t] (on any shard) now wait for us. *)
-              Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:t);
-              let core = cores.(t) in
-              if Core_tile.step core ~cycle:c then prog := true;
-              if (not finished_flags.(t)) && Core_tile.finished core then begin
-                finished_flags.(t) <- true;
-                incr fin
-              end
-            done;
-            incr seq;
-            cur_seq.(k) <- !seq;
-            (* Sweep done: release every tile of this visited cycle. *)
-            Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:lo);
-            progress_of.(k) <- !prog;
-            newly_finished.(k) <- !fin;
-            Sync.barrier sync ~shard:k ~reduce;
-            if !stop then running := false
-            else begin
-              (* Book the skipped stretch into our own tiles' attribution
-                 (same commutative per-tile booking the serial loop does
-                 before advancing). *)
-              if profile && !book > 0 then
-                for t = lo to hi - 1 do
-                  Profile.book_repeat profiles.(t) !book
-                done;
-              my_cycle := !next_cycle
-            end
-          done)
-  | Some _ ->
-      (* Resumed from a snapshot taken after every tile finished: there is
-         no cycle left to sweep, and running one would book extra stepped
-         cycles the straight run never saw. *)
-      ());
+      done;
+      progress_of.(k) <- !prog;
+      newly_finished.(k) <- !fin;
+      match sync with
+      | None -> end_of_cycle ()
+      | Some sync ->
+          incr seq;
+          cur_seq.(k) <- !seq;
+          (* Sweep done: release every tile of this visited cycle. *)
+          Sync.publish sync ~shard:k ~point:(Sync.point ~seq:!seq ~tile:lo);
+          Sync.barrier sync ~shard:k ~reduce:end_of_cycle
+    done
+  in
+  (* A run resumed from a snapshot taken after every tile finished has no
+     cycle left to sweep; sweeping one would book extra stepped cycles the
+     straight run never saw. *)
+  if !finished_count < ntiles then begin
+    loop_top ();
+    match sync with
+    | None -> sweep 0
+    | Some sync -> Mosaic_util.Shard_sync.run sync sweep
+  end;
   (* A checkpoint requested at or past the final cycle captures the
-     end-of-run state (the serial loop top is never reached again), even
+     end-of-run state (the loop top is never reached again), even
      when the requested cycle lies beyond the run's last cycle. *)
   maybe_checkpoint ~force:true ();
   if sampling then emit_samples ();

@@ -120,7 +120,8 @@ type result = {
     Resume validates tile count, kernels, trace identity (dynamic
     instruction counts), profiling mode and NoC presence, raising
     [Invalid_argument] on mismatch. Snapshots work under sharded execution
-    too (capture points coincide with the serial scheduler's).
+    too: serial and sharded runs share one scheduler, so capture points
+    and the profile state they carry coincide.
 
     {b Sampling.} [sample:spec] turns on interval sampling
     ({!Sample.spec}): detailed measurement alternates with functional

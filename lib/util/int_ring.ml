@@ -1,5 +1,5 @@
-(* Bounded FIFO queue of ints backed by a circular buffer. Replaces
-   [message Bounded_queue.t] in the interleaver: the payload (an arrival
+(* Bounded FIFO queue of ints backed by a circular buffer: the
+   interleaver's per-channel message queue. The payload (an arrival
    cycle) lives unboxed in the buffer, so sends allocate nothing. Storage
    grows geometrically up to [capacity], so idle channels stay small. *)
 

@@ -105,16 +105,20 @@ let test_matrix_serial () =
         (spmv ()) ~ntiles:2 ~frac:0.5)
     [ (true, true); (true, false); (false, true); (false, false) ]
 
-(* Sharded capture: the snapshot taken under shards:2 resumes (serially
-   and sharded) to the same end state. *)
+(* Sharded capture at every tenth of the run: the snapshot taken under
+   shards:2 resumes to the same end state, the stall attribution of a
+   skipped stretch just before the capture cycle included. *)
 let test_matrix_sharded () =
   List.iter
-    (fun (shards, profile) ->
+    (fun (shards, profile, frac) ->
       round_trip ~shards ~profile ~cfg:Mosaic.Presets.xeon_soc
         ~tile_config:TC.out_of_order
-        (Printf.sprintf "spmv/xeon shards:%d profile:%b" shards profile)
-        (spmv ()) ~ntiles:2 ~frac:0.4)
-    [ (2, false); (2, true) ]
+        (Printf.sprintf "spmv/xeon shards:%d profile:%b frac:%.1f" shards
+           profile frac)
+        (spmv ()) ~ntiles:2 ~frac)
+    (List.concat_map
+       (fun frac -> [ (2, false, frac); (2, true, frac) ])
+       [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ])
 
 (* DAE preset, accelerator tile in flight, marshal round trip included. *)
 let test_dae_preset () =

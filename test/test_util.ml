@@ -64,38 +64,6 @@ let prop_pqueue_sorted =
       let out = drain [] in
       out = List.sort compare prios)
 
-(* --- Bounded_queue --- *)
-
-let test_bq_capacity () =
-  let q = Bounded_queue.create ~capacity:2 () in
-  checkb "push1" true (Bounded_queue.push q 1);
-  checkb "push2" true (Bounded_queue.push q 2);
-  checkb "push3 rejected" false (Bounded_queue.push q 3);
-  Alcotest.(check (option int)) "fifo" (Some 1) (Bounded_queue.pop q);
-  checkb "room again" true (Bounded_queue.push q 3);
-  Alcotest.(check (list int)) "contents" [ 2; 3 ] (Bounded_queue.to_list q)
-
-let test_bq_unbounded () =
-  let q = Bounded_queue.create () in
-  for i = 0 to 999 do
-    checkb "push" true (Bounded_queue.push q i)
-  done;
-  check "length" 1000 (Bounded_queue.length q);
-  checkb "never full" false (Bounded_queue.is_full q)
-
-let test_bq_fold_iter () =
-  let q = Bounded_queue.create () in
-  List.iter (fun x -> ignore (Bounded_queue.push q x)) [ 1; 2; 3 ];
-  check "fold sum" 6 (Bounded_queue.fold ( + ) 0 q);
-  let seen = ref [] in
-  Bounded_queue.iter (fun x -> seen := x :: !seen) q;
-  Alcotest.(check (list int)) "iter order" [ 3; 2; 1 ] !seen
-
-let test_bq_invalid () =
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Bounded_queue.create: negative capacity") (fun () ->
-      ignore (Bounded_queue.create ~capacity:(-1) ()))
-
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -415,13 +383,6 @@ let suite =
         Alcotest.test_case "growth keeps order" `Quick test_pqueue_grows;
         Alcotest.test_case "clear" `Quick test_pqueue_clear;
         QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-      ] );
-    ( "util.bounded_queue",
-      [
-        Alcotest.test_case "capacity backpressure" `Quick test_bq_capacity;
-        Alcotest.test_case "unbounded" `Quick test_bq_unbounded;
-        Alcotest.test_case "fold and iter" `Quick test_bq_fold_iter;
-        Alcotest.test_case "invalid capacity" `Quick test_bq_invalid;
       ] );
     ( "util.rng",
       [
