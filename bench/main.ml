@@ -1119,14 +1119,14 @@ let bechamel_section () =
             ~addr:(i * 64 mod 65536) ~is_write:false
       done
   in
-  let mk_pqueue_bench () =
-    let q = Mosaic_util.Pqueue.create () in
+  let mk_int_heap_bench () =
+    let h = Mosaic_util.Int_heap.create () in
     fun () ->
       for i = 0 to 99 do
-        Mosaic_util.Pqueue.add q ~prio:(i * 37 mod 100) i
+        Mosaic_util.Int_heap.push h ~prio:(i * 37 mod 100) i
       done;
-      while Mosaic_util.Pqueue.pop q <> None do
-        ()
+      while not (Mosaic_util.Int_heap.is_empty h) do
+        Mosaic_util.Int_heap.drop_min h
       done
   in
   let tests =
@@ -1134,7 +1134,7 @@ let bechamel_section () =
       Test.make ~name:"soc.run sgemm-12" (Staged.stage (mk_soc_bench ()));
       Test.make ~name:"interp.trace sgemm-12" (Staged.stage (mk_interp_bench ()));
       Test.make ~name:"hierarchy.access x100" (Staged.stage (mk_hierarchy_bench ()));
-      Test.make ~name:"pqueue add/pop x100" (Staged.stage (mk_pqueue_bench ()));
+      Test.make ~name:"int_heap push/pop x100" (Staged.stage (mk_int_heap_bench ()));
     ]
   in
   let benchmark test =

@@ -1,6 +1,6 @@
 module Int_ring = Mosaic_util.Int_ring
 module Int_table = Mosaic_util.Int_table
-module Pqueue = Mosaic_util.Pqueue
+module Int_heap = Mosaic_util.Int_heap
 
 type stats = {
   mutable sends : int;
@@ -27,7 +27,7 @@ type t = {
       (** per packed (dst, chan): consumptions committed before the message *)
   mutable occupancy : int;
       (** running total of buffered messages across all channels *)
-  arrivals : unit Pqueue.t;
+  arrivals : Int_heap.t;
       (** arrival cycles of buffered sends, drained lazily; its head is the
           conservative next-event view for the cycle-skipping scheduler *)
   stats : stats;
@@ -47,7 +47,7 @@ let create ?(buffer_capacity = 512) ?(wire_latency = 1) ?noc
     nrings = 0;
     owed = Int_table.create ~initial_capacity:16 ();
     occupancy = 0;
-    arrivals = Pqueue.create ();
+    arrivals = Int_heap.create ();
     stats = { sends = 0; recvs = 0; send_stalls = 0; max_occupancy = 0 };
     sink;
   }
@@ -97,7 +97,7 @@ let send t ~src ~dst ~chan ~cycle ~available =
       t.stats.sends <- t.stats.sends + 1;
       emit_handoff t ~src ~dst ~chan ~cycle;
       t.occupancy <- t.occupancy + 1;
-      Pqueue.add t.arrivals ~prio:arrival ();
+      Int_heap.push t.arrivals ~prio:arrival 0;
       if t.occupancy > t.stats.max_occupancy then
         t.stats.max_occupancy <- t.occupancy;
       true
@@ -130,12 +130,12 @@ let take_or_owe t ~tile ~chan =
 
 let try_recv t ~tile ~chan ~cycle =
   let q = buffer t ~dst:tile ~chan in
-  if Int_ring.is_empty q then None
+  if Int_ring.is_empty q then -1
   else begin
     let arrival = Int_ring.pop_exn q in
     t.occupancy <- t.occupancy - 1;
     t.stats.recvs <- t.stats.recvs + 1;
-    Some (Stdlib.max (cycle + 1) arrival)
+    Stdlib.max (cycle + 1) arrival
   end
 
 (* Buffered messages are consumable as soon as they are enqueued (arrival
@@ -145,11 +145,12 @@ let try_recv t ~tile ~chan ~cycle =
    are drained lazily here. *)
 let next_arrival t ~cycle =
   while
-    (not (Pqueue.is_empty t.arrivals)) && Pqueue.min_prio t.arrivals <= cycle
+    (not (Int_heap.is_empty t.arrivals))
+    && Int_heap.min_prio t.arrivals <= cycle
   do
-    Pqueue.drop_min t.arrivals
+    Int_heap.drop_min t.arrivals
   done;
-  if Pqueue.is_empty t.arrivals then None else Some (Pqueue.min_prio t.arrivals)
+  if Int_heap.is_empty t.arrivals then max_int else Int_heap.min_prio t.arrivals
 
 let stats t = t.stats
 
@@ -179,7 +180,7 @@ let ff_set_channel t ~dst ~chan ~buffered ~owed ~sends ~recvs ~cycle =
     for _ = 1 to net do
       if not (Int_ring.push q cycle) then
         invalid_arg "Interleaver.ff_set_channel: buffered beyond capacity";
-      Pqueue.add t.arrivals ~prio:cycle ()
+      Int_heap.push t.arrivals ~prio:cycle 0
     done;
   Int_table.set t.owed (pack ~dst ~chan) owed;
   t.occupancy <- t.occupancy + net;
@@ -199,7 +200,7 @@ type dump = {
   d_rings : Int_ring.dump array;
   d_owed : Int_table.dump;
   d_occupancy : int;
-  d_arrivals : unit Pqueue.dump;
+  d_arrivals : Int_heap.dump;
   d_stats : int array;
 }
 
@@ -209,7 +210,7 @@ let dump t =
     d_rings = Array.init t.nrings (fun i -> Int_ring.dump t.rings.(i));
     d_owed = Int_table.dump t.owed;
     d_occupancy = t.occupancy;
-    d_arrivals = Pqueue.dump t.arrivals;
+    d_arrivals = Int_heap.dump t.arrivals;
     d_stats =
       [| t.stats.sends; t.stats.recvs; t.stats.send_stalls;
          t.stats.max_occupancy |];
@@ -222,7 +223,7 @@ let restore t d =
   t.nrings <- Array.length rings;
   Int_table.restore t.owed d.d_owed;
   t.occupancy <- d.d_occupancy;
-  Pqueue.restore t.arrivals d.d_arrivals;
+  Int_heap.restore t.arrivals d.d_arrivals;
   t.stats.sends <- d.d_stats.(0);
   t.stats.recvs <- d.d_stats.(1);
   t.stats.send_stalls <- d.d_stats.(2);

@@ -35,9 +35,10 @@ val send :
   t -> src:int -> dst:int -> chan:int -> cycle:int -> available:int -> bool
 
 (** [try_recv t ~tile ~chan ~cycle] consumes the oldest message for
-    [(tile, chan)] and returns the receive completion cycle, or [None] when
-    no message has been sent yet. *)
-val try_recv : t -> tile:int -> chan:int -> cycle:int -> int option
+    [(tile, chan)] and returns the receive completion cycle, or [-1] when
+    no message has been sent yet (a plain int, so the receive path
+    allocates nothing). *)
+val try_recv : t -> tile:int -> chan:int -> cycle:int -> int
 
 (** [take_or_owe t ~tile ~chan] consumes a message if one is buffered, or
     records a debt that cancels the next send to [(tile, chan)] — the
@@ -56,11 +57,11 @@ val occupancy : t -> int
 val capacity : t -> int
 
 (** [next_arrival t ~cycle] is the earliest in-flight message arrival
-    strictly after [cycle], or [None] when nothing is in flight. Buffered
+    strictly after [cycle], or [max_int] when nothing is in flight. Buffered
     messages are consumable before their arrival cycle (arrival only bounds
     receive completion), so this is a conservative wake-up hint for the
     cycle-skipping scheduler, never a gate. *)
-val next_arrival : t -> cycle:int -> int option
+val next_arrival : t -> cycle:int -> int
 
 (** Publish the messaging counters under "inter.*" (and the NoC's under
     "noc.*", when one is attached) into a metrics registry. *)

@@ -72,7 +72,7 @@ type channel = {
 }
 
 type tile_ff = {
-  mutable blk : Func.block option;  (** block being walked, if mid-block *)
+  mutable blk : Instr.t array;  (** block being walked; [||] between blocks *)
   mutable idx : int;
   mutable pend_dst : int;  (** popped send destination awaiting a slot; -1 *)
   mutable instrs : int;
@@ -106,7 +106,7 @@ let fast_forward ~cores ~funcs ~inter ~hier
   let states =
     Array.init ntiles (fun i ->
         {
-          blk = None;
+          blk = [||];
           idx = 0;
           pend_dst = -1;
           instrs = 0;
@@ -118,6 +118,38 @@ let fast_forward ~cores ~funcs ~inter ~hier
           target = targets.(i);
         })
   in
+  (* [warm_mem] and [try_send] take the instruction's context as arguments
+     rather than closing over it inside [exec], which would allocate two
+     closures per fast-forwarded instruction. *)
+  let warm_mem i st c iid ~is_write =
+    let addr = Trace.Cursor.next_addr c ~instr_id:iid in
+    Hierarchy.warm hier ~tile:i ~addr ~is_write;
+    st.mem <- st.mem + 1
+  in
+  let try_send st c iid ~chan =
+    let dst =
+      if st.pend_dst >= 0 then st.pend_dst
+      else begin
+        let d = Trace.Cursor.next_send_dst c ~instr_id:iid in
+        st.pend_dst <- d;
+        d
+      end
+    in
+    let ch = channel ~dst ~chan in
+    if ch.owed > 0 then begin
+      ch.owed <- ch.owed - 1;
+      ch.sends <- ch.sends + 1;
+      st.pend_dst <- -1;
+      true
+    end
+    else if ch.buffered < cap then begin
+      ch.buffered <- ch.buffered + 1;
+      ch.sends <- ch.sends + 1;
+      st.pend_dst <- -1;
+      true
+    end
+    else false
+  in
   (* Execute one instruction; false = blocked on a channel (retry after
      other tiles progress). Trace streams are popped only on success —
      except a send's destination, which decides success and is stashed in
@@ -125,46 +157,17 @@ let fast_forward ~cores ~funcs ~inter ~hier
   let exec i st (instr : Instr.t) =
     let c = Core_tile.cursor cores.(i) in
     let iid = instr.Instr.id in
-    let warm_mem ~is_write =
-      let addr = Trace.Cursor.next_addr c ~instr_id:iid in
-      Hierarchy.warm hier ~tile:i ~addr ~is_write;
-      st.mem <- st.mem + 1
-    in
-    let try_send ~chan =
-      let dst =
-        if st.pend_dst >= 0 then st.pend_dst
-        else begin
-          let d = Trace.Cursor.next_send_dst c ~instr_id:iid in
-          st.pend_dst <- d;
-          d
-        end
-      in
-      let ch = channel ~dst ~chan in
-      if ch.owed > 0 then begin
-        ch.owed <- ch.owed - 1;
-        ch.sends <- ch.sends + 1;
-        st.pend_dst <- -1;
-        true
-      end
-      else if ch.buffered < cap then begin
-        ch.buffered <- ch.buffered + 1;
-        ch.sends <- ch.sends + 1;
-        st.pend_dst <- -1;
-        true
-      end
-      else false
-    in
     match instr.Instr.op with
     | Op.Load _ ->
-        warm_mem ~is_write:false;
+        warm_mem i st c iid ~is_write:false;
         true
     | Op.Store _ | Op.Atomic_rmw _ ->
-        warm_mem ~is_write:true;
+        warm_mem i st c iid ~is_write:true;
         true
-    | Op.Send chan -> try_send ~chan
+    | Op.Send chan -> try_send st c iid ~chan
     | Op.Load_send (chan, _) ->
-        if try_send ~chan then begin
-          warm_mem ~is_write:false;
+        if try_send st c iid ~chan then begin
+          warm_mem i st c iid ~is_write:false;
           true
         end
         else false
@@ -183,13 +186,13 @@ let fast_forward ~cores ~funcs ~inter ~hier
         if ch.buffered > 0 then begin
           ch.buffered <- ch.buffered - 1;
           ch.recvs <- ch.recvs + 1;
-          warm_mem ~is_write:true;
+          warm_mem i st c iid ~is_write:true;
           true
         end
         else if ch.owed < cap then begin
           ch.owed <- ch.owed + 1;
           ch.recvs <- ch.recvs + 1;
-          warm_mem ~is_write:true;
+          warm_mem i st c iid ~is_write:true;
           true
         end
         else false
@@ -208,36 +211,39 @@ let fast_forward ~cores ~funcs ~inter ~hier
     let progressed = ref false in
     let stalled = ref false in
     while st.active && not !stalled do
-      match st.blk with
-      | None ->
-          if st.instrs >= st.target then st.active <- false
+      let blk = st.blk in
+      if Array.length blk = 0 then begin
+        if st.instrs >= st.target then st.active <- false
+        else begin
+          let bid = Trace.Cursor.next_block_id c in
+          if bid < 0 then st.active <- false
           else begin
-            match Trace.Cursor.next_block c with
-            | None -> st.active <- false
-            | Some bid ->
-                st.blk <- Some (Func.block funcs.(i) bid);
-                st.idx <- 0;
-                st.dbbs <- st.dbbs + 1
+            st.blk <- (Func.block funcs.(i) bid).Func.instrs;
+            st.idx <- 0;
+            st.dbbs <- st.dbbs + 1
           end
-      | Some blk ->
-          let instr = blk.Func.instrs.(st.idx) in
-          if exec i st instr then begin
-            progressed := true;
-            st.instrs <- st.instrs + 1;
-            st.by_class.(Tile_config.class_index (Op.classify instr.Instr.op)) <-
-              st.by_class.(Tile_config.class_index (Op.classify instr.Instr.op))
-              + 1;
-            st.idx <- st.idx + 1;
-            if st.idx >= Array.length blk.Func.instrs then begin
-              if Op.is_terminator instr.Instr.op then begin
-                let actual = Trace.Cursor.peek_block_id c 0 in
-                if actual >= 0 then
-                  Core_tile.ff_observe_branch core instr ~actual
-              end;
-              st.blk <- None
-            end
+        end
+      end
+      else begin
+        let instr = blk.(st.idx) in
+        if exec i st instr then begin
+          progressed := true;
+          st.instrs <- st.instrs + 1;
+          st.by_class.(Tile_config.class_index (Op.classify instr.Instr.op)) <-
+            st.by_class.(Tile_config.class_index (Op.classify instr.Instr.op))
+            + 1;
+          st.idx <- st.idx + 1;
+          if st.idx >= Array.length blk then begin
+            if Op.is_terminator instr.Instr.op then begin
+              let actual = Trace.Cursor.peek_block_id c 0 in
+              if actual >= 0 then
+                Core_tile.ff_observe_branch core instr ~actual
+            end;
+            st.blk <- [||]
           end
-          else stalled := true
+        end
+        else stalled := true
+      end
     done;
     !progressed
   in
@@ -248,7 +254,7 @@ let fast_forward ~cores ~funcs ~inter ~hier
       if run_tile i then progressed := true
     done;
     if not !progressed then begin
-      let mid_block = Array.exists (fun st -> st.blk <> None) states in
+      let mid_block = Array.exists (fun st -> Array.length st.blk > 0) states in
       if not mid_block then running := false
       else begin
         (* A consumer is stalled inside a block; push every tile with
@@ -260,7 +266,7 @@ let fast_forward ~cores ~funcs ~inter ~hier
         Array.iteri
           (fun i st ->
             if
-              (not st.active) && st.blk = None
+              (not st.active) && Array.length st.blk = 0
               && Trace.Cursor.peek_block_id (Core_tile.cursor cores.(i)) 0 >= 0
             then begin
               st.active <- true;
@@ -333,8 +339,7 @@ type driver = {
   mutable exhausted : bool;  (** too little trace left; run exact to the end *)
 }
 
-let committed d i =
-  (Core_tile.stats d.cores.(i)).Core_tile.completed_instrs
+let committed d i = Core_tile.completed_instrs d.cores.(i)
 
 let total d =
   let t = ref 0 in

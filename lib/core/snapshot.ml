@@ -43,7 +43,8 @@ exception Format_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
 
 let magic = "MSNP"
-let format_version = 1
+(* 2: tile state as a slot-ring window dump, FIFO-stamped int heaps. *)
+let format_version = 2
 
 let to_bytes s =
   let payload = Marshal.to_bytes s [] in

@@ -371,7 +371,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   let progress_instrs () =
     let n = ref 0 in
     for i = 0 to ntiles - 1 do
-      n := !n + (Core_tile.stats cores.(i)).Core_tile.completed_instrs
+      n := !n + Core_tile.completed_instrs cores.(i)
     done;
     !n
   in
@@ -495,15 +495,25 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
      true deadlock). *)
   let min_next_event at =
     let next = ref max_int in
-    let consider = function
-      | Some c when c > at && c < !next -> next := c
-      | Some _ | None -> ()
-    in
     for i = 0 to ntiles - 1 do
-      consider (Core_tile.next_event_cycle cores.(i) ~cycle:at)
+      let c = Core_tile.next_event_cycle cores.(i) ~cycle:at in
+      if c > at && c < !next then next := c
     done;
-    consider (Interleaver.next_arrival inter ~cycle:at);
-    List.iter (fun finish -> consider (Some finish)) mgr.active;
+    let c = Interleaver.next_arrival inter ~cycle:at in
+    if c > at && c < !next then next := c;
+    (* A list walk, not [List.iter]: the closure would allocate on every
+       quiescent cycle. *)
+    let active = ref mgr.active in
+    while
+      match !active with
+      | [] -> false
+      | c :: rest ->
+          if c > at && c < !next then next := c;
+          active := rest;
+          true
+    do
+      ()
+    done;
     !next
   in
   (* Work due before sweeping a visited cycle. *)
@@ -523,7 +533,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   (* End-of-cycle decision, run once per visited cycle: serially after the
      sweep, sharded by whichever shard reaches the barrier last, when every
      shard is parked and all tiles may be read. The interleaver's
-     next-arrival view drains its pqueue, so only this reducer may
+     next-arrival view drains its heap, so only this reducer may
      evaluate it. *)
   let end_of_cycle () =
     incr stepped;

@@ -13,13 +13,14 @@ type accel_result = { finish_cycle : int; energy_pj : float }
 
 (** Callbacks provided by the Interleaver / SoC. [send] returns [false]
     when the destination buffer is full (the send retries); [try_recv]
-    returns the completion cycle once a matching message is available. *)
+    returns the completion cycle once a matching message is available, and
+    -1 while none is. *)
 type comm = {
   send :
     src:int -> dst:int -> chan:int -> cycle:int -> available:int -> bool;
       (** [available] is when the payload exists ([cycle] for plain sends;
           memory completion for terminal loads) *)
-  try_recv : tile:int -> chan:int -> cycle:int -> int option;
+  try_recv : tile:int -> chan:int -> cycle:int -> int;
   take_or_owe : tile:int -> chan:int -> bool;
       (** consume-or-commit for store-value-buffer drains *)
   accel :
@@ -80,14 +81,21 @@ val step : t -> cycle:int -> bool
     completion-event or MAO-release queues, the end of a branch
     misprediction penalty, an L1 MSHR slot freeing, or the next clock edge
     when work is pending but [cycle] is unaligned with the tile's clock
-    divider. [None] means the tile is either finished or blocked solely on
-    another component's progress. Only meaningful on cycles where {!step}
+    divider. [max_int] means the tile is either finished or blocked solely
+    on another component's progress (a plain int, so the scheduler's
+    quiescent-cycle probe allocates nothing). Only meaningful on cycles where {!step}
     reported no progress for any tile; the scheduler jumps to the minimum
     across components. *)
-val next_event_cycle : t -> cycle:int -> int option
+val next_event_cycle : t -> cycle:int -> int
 
 val finished : t -> bool
+
+(** The tile's counters, [energy_pj] brought up to date. That costs a
+    float allocation, so per-cycle callers read {!completed_instrs}. *)
 val stats : t -> stats
+
+(** [(stats t).completed_instrs], allocation-free. *)
+val completed_instrs : t -> int
 
 val profile : t -> Profile.t
 (** The cycle-accounting store passed at creation ([Profile.null] when
@@ -137,9 +145,10 @@ val ff_commit :
   accel_energy_pj:float ->
   unit
 
-(** {1 Snapshots} — the full timing state of the tile: the dynamic node
-    graph keyed by sequence number, scheduler queues, MAO, predictor,
-    profile and counters. The static program is rebuilt from the workload
+(** {1 Snapshots} — the full timing state of the tile: the instruction
+    window slot by slot with its cross-block dependents, the DBBs it
+    belongs to, ready lists and heaps, MAO, predictor, profile and
+    counters. The static program is rebuilt from the workload
     on restore, never serialized. [restore] raises [Invalid_argument] when
     the dump does not match the tile's program or configuration shape. *)
 

@@ -21,20 +21,19 @@ let bucket_bounds =
 let dynamic_addresses (func : Func.t) (tt : Trace.tile_trace) =
   let cursor = Trace.Cursor.create tt in
   let out = Mosaic_util.Int_vec.create ~initial_capacity:1024 () in
-  let rec walk () =
-    match Trace.Cursor.next_block cursor with
-    | None -> ()
-    | Some bid ->
-        let blk = Func.block func bid in
-        Array.iter
-          (fun (i : Instr.t) ->
-            if Op.is_mem i.Instr.op then
-              Mosaic_util.Int_vec.push out
-                (Trace.Cursor.next_addr cursor ~instr_id:i.Instr.id))
-          blk.Func.instrs;
-        walk ()
-  in
-  walk ();
+  (* Loops, not iterators: a closure per block and an option per step
+     would allocate on every dynamic block of the trace. *)
+  let bid = ref (Trace.Cursor.next_block_id cursor) in
+  while !bid >= 0 do
+    let instrs = (Func.block func !bid).Func.instrs in
+    for k = 0 to Array.length instrs - 1 do
+      let i = instrs.(k) in
+      if Op.is_mem i.Instr.op then
+        Mosaic_util.Int_vec.push out
+          (Trace.Cursor.next_addr cursor ~instr_id:i.Instr.id)
+    done;
+    bid := Trace.Cursor.next_block_id cursor
+  done;
   Mosaic_util.Int_vec.to_array out
 
 (* LRU stack distances via the classic Fenwick-tree algorithm: for access i
@@ -43,33 +42,30 @@ let dynamic_addresses (func : Func.t) (tt : Trace.tile_trace) =
 let reuse_histogram addrs =
   let n = Array.length addrs in
   let bit = Fenwick.create (Stdlib.max n 1) in
-  let last = Hashtbl.create 4096 in
+  let last = Mosaic_util.Int_table.create ~initial_capacity:4096 () in
   let buckets = Array.make (List.length bucket_bounds) 0 in
-  let bucket_of d =
-    let rec find k = function
-      | [] -> k - 1
-      | bound :: rest -> if d < bound then k else find (k + 1) rest
-    in
-    find 0 bucket_bounds
-  in
-  Array.iteri
-    (fun i addr ->
-      let line = addr / line_size in
-      (match Hashtbl.find_opt last line with
-      | Some j ->
-          let distance = Fenwick.range_sum bit ~lo:(j + 1) ~hi:(i - 1) in
-          buckets.(bucket_of distance) <- buckets.(bucket_of distance) + 1;
-          Fenwick.add bit j (-1)
-      | None ->
-          (* cold miss: infinite distance *)
-          let cold = Array.length buckets - 1 in
-          buckets.(cold) <- buckets.(cold) + 1);
-      Hashtbl.replace last line i;
-      Fenwick.add bit i 1)
-    addrs;
+  let cold = Array.length buckets - 1 in
+  for i = 0 to n - 1 do
+    let line = addrs.(i) / line_size in
+    let j = Mosaic_util.Int_table.find last line ~default:(-1) in
+    if j >= 0 then begin
+      let distance = Fenwick.range_sum bit ~lo:(j + 1) ~hi:(i - 1) in
+      (* The first power-of-two bound above [distance] (bit length), or
+         the last bucket past 2^24. *)
+      let b = ref 0 in
+      while !b < cold && distance >= 1 lsl !b do incr b done;
+      buckets.(!b) <- buckets.(!b) + 1;
+      Fenwick.add bit j (-1)
+    end
+    else
+      (* cold miss: infinite distance *)
+      buckets.(cold) <- buckets.(cold) + 1;
+    Mosaic_util.Int_table.set last line i;
+    Fenwick.add bit i 1
+  done;
   (List.map2 (fun bound count -> (bound, count)) bucket_bounds
      (Array.to_list buckets),
-   Hashtbl.length last)
+   Mosaic_util.Int_table.length last)
 
 (* Per static instruction: does the stride repeat? *)
 let stride_regularity (tt : Trace.tile_trace) =
@@ -214,47 +210,52 @@ let dependence_chain (func : Func.t) (tt : Trace.tile_trace) =
   let best_depth = ref 0 in
   let class_counts = Array.make nclasses 0 in
   let sends = ref 0 and recvs = ref 0 in
-  Array.iter
-    (fun bid ->
-      let blk = Func.block func bid in
-      Array.iter
-        (fun (i : Instr.t) ->
-          let cls = Op.classify i.Instr.op in
-          let ci = class_index cls in
-          class_counts.(ci) <- class_counts.(ci) + 1;
-          (match i.Instr.op with
-          | Op.Send _ | Op.Load_send _ -> incr sends
-          | Op.Recv _ | Op.Store_recv _ -> incr recvs
-          | _ -> ());
-          (* deepest producer among the registers read *)
-          let pd = ref 0 and pr = ref (-1) in
-          List.iter
-            (fun r ->
-              if r < nregs && reg_depth.(r) > !pd then begin
-                pd := reg_depth.(r);
-                pr := r
-              end)
-            (Instr.uses i);
-          if !pr >= 0 then Array.blit comp (!pr * k) scratch 0 k
-          else Array.fill scratch 0 k 0;
-          if Op.is_mem i.Instr.op then begin
-            scratch.(mem_slot) <- scratch.(mem_slot) + 1;
-            if cls = Op.C_atomic then
-              scratch.(atomic_slot) <- scratch.(atomic_slot) + 1
-          end
-          else scratch.(ci) <- scratch.(ci) + 1;
-          let nd = !pd + chain_weight cls in
-          (match i.Instr.dst with
-          | Some r when r < nregs ->
-              reg_depth.(r) <- nd;
-              Array.blit scratch 0 comp (r * k) k
-          | _ -> ());
-          if nd > !best_depth then begin
-            best_depth := nd;
-            Array.blit scratch 0 best 0 k
-          end)
-        blk.Func.instrs)
-    tt.Trace.bb_path;
+  (* Loops over the path and the operands, not iterators over
+     [Instr.uses]: a closure per block and a list per instruction would
+     allocate on every dynamic instruction of the trace. *)
+  let path = tt.Trace.bb_path in
+  for p = 0 to Array.length path - 1 do
+    let instrs = (Func.block func path.(p)).Func.instrs in
+    for x = 0 to Array.length instrs - 1 do
+      let i = instrs.(x) in
+      let cls = Op.classify i.Instr.op in
+      let ci = class_index cls in
+      class_counts.(ci) <- class_counts.(ci) + 1;
+      (match i.Instr.op with
+      | Op.Send _ | Op.Load_send _ -> incr sends
+      | Op.Recv _ | Op.Store_recv _ -> incr recvs
+      | _ -> ());
+      (* Deepest producer among the registers read; the first register in
+         operand order wins a tie (a repeated operand never does). *)
+      let pd = ref 0 and pr = ref (-1) in
+      let args = i.Instr.args in
+      for a = 0 to Array.length args - 1 do
+        match args.(a) with
+        | Instr.Reg r when r < nregs && reg_depth.(r) > !pd ->
+            pd := reg_depth.(r);
+            pr := r
+        | _ -> ()
+      done;
+      if !pr >= 0 then Array.blit comp (!pr * k) scratch 0 k
+      else Array.fill scratch 0 k 0;
+      if Op.is_mem i.Instr.op then begin
+        scratch.(mem_slot) <- scratch.(mem_slot) + 1;
+        if cls = Op.C_atomic then
+          scratch.(atomic_slot) <- scratch.(atomic_slot) + 1
+      end
+      else scratch.(ci) <- scratch.(ci) + 1;
+      let nd = !pd + chain_weight cls in
+      (match i.Instr.dst with
+      | Some r when r < nregs ->
+          reg_depth.(r) <- nd;
+          Array.blit scratch 0 comp (r * k) k
+      | _ -> ());
+      if nd > !best_depth then begin
+        best_depth := nd;
+        Array.blit scratch 0 best 0 k
+      end
+    done
+  done;
   let cp_classes = Array.sub best 0 nclasses in
   let cp_nodes = Array.fold_left ( + ) 0 best in
   (class_counts, cp_classes, best.(mem_slot), best.(atomic_slot), cp_nodes,

@@ -324,6 +324,14 @@ module Cursor = struct
       Some b
     end
 
+  let next_block_id c =
+    if c.bb_pos >= Array.length c.tt.bb_path then -1
+    else begin
+      let b = c.tt.bb_path.(c.bb_pos) in
+      c.bb_pos <- c.bb_pos + 1;
+      b
+    end
+
   let peek_block c k =
     let pos = c.bb_pos + k in
     if pos >= Array.length c.tt.bb_path then None else Some c.tt.bb_path.(pos)

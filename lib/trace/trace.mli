@@ -96,6 +96,10 @@ module Cursor : sig
   (** Next block id on the control path, advancing; [None] at the end. *)
   val next_block : cursor -> int option
 
+  (** [next_block] without the option: -1 (and no advance) at the end.
+      Allocation-free, for the per-block launch path. *)
+  val next_block_id : cursor -> int
+
   (** Block id [k] entries ahead of the cursor without advancing
       ([lookahead 0] = what [next_block] would return). *)
   val peek_block : cursor -> int -> int option

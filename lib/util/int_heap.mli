@@ -1,9 +1,10 @@
 (** Allocation-free binary min-heap over (int priority, int value) pairs.
 
-    Backs lazily-expired structures like the cache MSHR table: entries are
-    pushed with their expiry cycle and drained from the minimum, with
-    validity against the owning table checked by the caller. Equal
-    priorities pop in unspecified order. *)
+    Backs the tile's completion and deferred-LSQ-release queues (keyed by
+    cycle, valued by instruction sequence number), the interleaver's
+    arrival hints and lazily-expired structures like the cache MSHR table.
+    Equal priorities pop in push order (FIFO), so draining a heap is
+    deterministic. *)
 
 type t
 
@@ -20,8 +21,9 @@ val min_value : t -> int
 val drop_min : t -> unit
 val clear : t -> unit
 
-(** {1 Snapshots} — live slots verbatim; the restored heap behaves
-    identically (heap order does not depend on spare capacity). *)
+(** {1 Snapshots} — live slots and the FIFO stamp counter verbatim; the
+    restored heap behaves identically, ties included (heap order does not
+    depend on spare capacity). *)
 
 type dump
 

@@ -4,7 +4,8 @@
 
      dune exec test/regen_golden.exe
 
-   then inspect the diff of test/golden/*.json before committing it. An
+   then inspect the diff of test/golden/*.json and
+   test/golden/pipeline_stress.txt before committing it. An
    alternative output directory can be given as the first argument. *)
 
 let () =
@@ -20,4 +21,12 @@ let () =
                (Golden_support.to_json (Golden_support.headline r)));
           Out_channel.output_char oc '\n');
       Printf.printf "wrote %s\n" path)
-    Golden_support.names
+    Golden_support.names;
+  let path = Filename.concat dir Golden_support.stress_file in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun line ->
+          Out_channel.output_string oc line;
+          Out_channel.output_char oc '\n')
+        (Golden_support.stress_lines ()));
+  Printf.printf "wrote %s\n" path

@@ -63,6 +63,28 @@ let test_seed_variation () =
     (r1.Soc.cycles <> r2.Soc.cycles
     || r1.Soc.mem_totals <> r2.Soc.mem_totals)
 
+(* Every pinned stress line must reappear verbatim: a timing-model
+   change that moves cycles, stepped cycles, MAO stalls, a stall cause or
+   the issue/retire stream on any corpus kernel and tile shape fails here
+   with the first differing line. *)
+let test_pipeline_stress () =
+  let path = Filename.concat "golden" Golden_support.stress_file in
+  if not (Sys.file_exists path) then
+    Alcotest.failf "missing golden file %s — %s" path regen_hint;
+  let expected =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = Golden_support.stress_lines () in
+  Alcotest.(check int) "stress line count" (List.length expected)
+    (List.length got);
+  List.iter2
+    (fun e g ->
+      if e <> g then
+        Alcotest.failf "expected %s\n     got %s — %s" e g regen_hint)
+    expected got
+
 let suite =
   [
     ( "golden",
@@ -76,5 +98,6 @@ let suite =
             test_deterministic_events;
           Alcotest.test_case "different seed, same instruction count" `Quick
             test_seed_variation;
+          Alcotest.test_case "pipeline stress pins" `Slow test_pipeline_stress;
         ] );
   ]

@@ -243,6 +243,34 @@ let test_container () =
       Bytes.set bad_version 4 '\xff';
       expect_format "unsupported version" bad_version)
 
+(* A container written under the previous layout (version byte 1, before
+   the tile state moved to a slot ring) is refused with a message naming
+   both versions, never handed to Marshal. *)
+let test_container_refuses_v1 () =
+  checki "current layout" 2 Snapshot.format_version;
+  let inst = W.Micro.stream ~seed:5 ~elems:64 () in
+  let trace = W.Runner.trace inst ~ntiles:1 in
+  let snap = ref None in
+  ignore
+    (Soc.run_homogeneous ~checkpoint_at:20
+       ~on_checkpoint:(fun s -> snap := Some s)
+       Mosaic.Presets.dae_soc ~program:inst.W.Runner.program ~trace
+       ~tile_config:TC.out_of_order);
+  let bytes = Snapshot.to_bytes (Option.get !snap) in
+  Bytes.set bytes (String.length Snapshot.magic) (Char.chr 1);
+  match Snapshot.of_bytes bytes with
+  | (_ : Snapshot.t) -> Alcotest.fail "version 1 container accepted"
+  | exception Snapshot.Format_error msg ->
+      let has needle =
+        let n = String.length needle and m = String.length msg in
+        let rec go i =
+          i + n <= m && (String.sub msg i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      if not (has "version 1" && has "version 2") then
+        Alcotest.failf "message does not name both versions: %s" msg
+
 (* Interval sampling sanity: the sampled run completes every instruction,
    reports a plausible estimate (deterministically), and rejects malformed
    specs. Accuracy at scale is measured in the bench suite against the
@@ -314,6 +342,8 @@ let suite =
           test_resume_validation;
         Alcotest.test_case "container rejects corrupt/truncated" `Quick
           test_container;
+        Alcotest.test_case "container refuses format version 1" `Quick
+          test_container_refuses_v1;
         Alcotest.test_case "interval sampling sanity" `Quick test_sampling;
       ] );
   ]

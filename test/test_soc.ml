@@ -93,21 +93,19 @@ let test_interleaver_direct () =
   checkb "send ok" true (Interleaver.send il ~src:0 ~dst:1 ~chan:0 ~cycle:11 ~available:11);
   checkb "full" false (Interleaver.send il ~src:0 ~dst:1 ~chan:0 ~cycle:12 ~available:12);
   (* arrival respects wire latency *)
-  (match Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:10 with
-  | Some c -> checki "arrival = available + wire" 13 c
-  | None -> Alcotest.fail "message missing");
+  checki "arrival = available + wire" 13
+    (Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:10);
   (* late consumer gets it immediately *)
-  (match Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:100 with
-  | Some c -> checki "immediate when late" 101 c
-  | None -> Alcotest.fail "message missing");
-  Alcotest.(check (option int)) "drained" None (Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:0)
+  checki "immediate when late" 101
+    (Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:100);
+  checki "drained" (-1) (Interleaver.try_recv il ~tile:1 ~chan:0 ~cycle:0)
 
 let test_interleaver_take_or_owe () =
   let il = Interleaver.create ~buffer_capacity:2 ~wire_latency:1 () in
   (* debt first, send later: the send is absorbed *)
   checkb "owe ok" true (Interleaver.take_or_owe il ~tile:0 ~chan:1);
   checkb "send absorbed" true (Interleaver.send il ~src:1 ~dst:0 ~chan:1 ~cycle:5 ~available:5);
-  Alcotest.(check (option int)) "nothing buffered" None
+  checki "nothing buffered" (-1)
     (Interleaver.try_recv il ~tile:0 ~chan:1 ~cycle:50);
   (* debt ceiling *)
   checkb "owe 1" true (Interleaver.take_or_owe il ~tile:0 ~chan:1);

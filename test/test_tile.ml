@@ -237,6 +237,35 @@ let test_small_buffer_backpressure () =
   checkb "sender stalled on full buffer" true
     (r.Soc.interleaver.Mosaic.Interleaver.send_stalls > 0)
 
+(* Minor-heap words allocated per simulated instruction by [Soc.run], on
+   one out-of-order and one in-order run of the same SPMV. The in-flight
+   pipeline state lives in preallocated rings, so what remains is per-run
+   set-up and per-block work; a per-instruction record or list cell would
+   push this well past the bound. *)
+let alloc_bound_words_per_instr = 6.0
+
+let minor_words_per_instr tile_config =
+  let inst =
+    Mosaic_workloads.Spmv.instance ~seed:7 ~rows:512 ~cols:512 ~per_row:8 ()
+  in
+  let trace = Mosaic_workloads.Runner.trace inst ~ntiles:1 in
+  let before = Gc.minor_words () in
+  let r =
+    Soc.run_homogeneous Mosaic.Presets.xeon_soc
+      ~program:inst.Mosaic_workloads.Runner.program ~trace ~tile_config
+  in
+  (Gc.minor_words () -. before) /. float_of_int r.Soc.instrs
+
+let test_alloc_per_instr () =
+  List.iter
+    (fun (name, tc) ->
+      let w = minor_words_per_instr tc in
+      Printf.printf "%s: %.2f minor words per instruction\n" name w;
+      if w > alloc_bound_words_per_instr then
+        Alcotest.failf "%s: %.2f minor words per instruction (bound %.1f)"
+          name w alloc_bound_words_per_instr)
+    [ ("ooo", TC.out_of_order); ("ino", TC.in_order) ]
+
 let suite =
   [
     ( "tile.execution",
@@ -247,6 +276,8 @@ let suite =
         Alcotest.test_case "window bounds MLP" `Quick test_window_limits_mlp;
         Alcotest.test_case "in-order vs OoO" `Quick test_in_order_slower_than_ooo;
         Alcotest.test_case "clock divider" `Quick test_clock_divider_scales;
+        Alcotest.test_case "minor words per instruction" `Quick
+          test_alloc_per_instr;
       ] );
     ( "tile.speculation",
       [

@@ -6,64 +6,6 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-9))
 
-(* --- Pqueue --- *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, x) -> Pqueue.add q ~prio:p x) [ (5, "e"); (1, "a"); (3, "c") ];
-  Alcotest.(check (option (pair int string))) "peek" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair int string))) "pop1" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop2" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop3" (Some (5, "e")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun x -> Pqueue.add q ~prio:7 x) [ "first"; "second"; "third" ];
-  let order = List.filter_map (fun () -> Option.map snd (Pqueue.pop q)) [ (); (); () ] in
-  Alcotest.(check (list string)) "fifo on equal priority"
-    [ "first"; "second"; "third" ] order
-
-let test_pqueue_pop_until () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.add q ~prio:p p) [ 10; 2; 7; 4; 20 ];
-  let popped = List.map fst (Pqueue.pop_until q ~prio:7) in
-  Alcotest.(check (list int)) "popped <= 7" [ 2; 4; 7 ] popped;
-  check "remaining" 2 (Pqueue.length q)
-
-let test_pqueue_grows () =
-  let q = Pqueue.create () in
-  for i = 99 downto 0 do
-    Pqueue.add q ~prio:i i
-  done;
-  check "length" 100 (Pqueue.length q);
-  let rec drain last =
-    match Pqueue.pop q with
-    | None -> ()
-    | Some (p, _) ->
-        checkb "sorted" true (p >= last);
-        drain p
-  in
-  drain (-1)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create () in
-  Pqueue.add q ~prio:1 ();
-  Pqueue.clear q;
-  checkb "empty after clear" true (Pqueue.is_empty q)
-
-let prop_pqueue_sorted =
-  QCheck.Test.make ~name:"pqueue pops in sorted order" ~count:100
-    QCheck.(list int)
-    (fun prios ->
-      let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q ~prio:p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
-
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -296,6 +238,37 @@ let prop_int_table_model =
 
 (* --- Int_heap --- *)
 
+let test_int_heap_fifo_ties () =
+  let h = Int_heap.create () in
+  List.iter (fun v -> Int_heap.push h ~prio:7 v) [ 10; 20; 30 ];
+  Int_heap.push h ~prio:3 40;
+  Int_heap.push h ~prio:7 50;
+  let rec drain acc =
+    if Int_heap.is_empty h then List.rev acc
+    else begin
+      let v = Int_heap.min_value h in
+      Int_heap.drop_min h;
+      drain (v :: acc)
+    end
+  in
+  Alcotest.(check (list int)) "fifo on equal priority" [ 40; 10; 20; 30; 50 ]
+    (drain [])
+
+let test_int_heap_grows () =
+  let h = Int_heap.create ~initial_capacity:4 () in
+  for i = 99 downto 0 do
+    Int_heap.push h ~prio:i i
+  done;
+  check "length" 100 (Int_heap.length h);
+  let last = ref (-1) in
+  while not (Int_heap.is_empty h) do
+    let p = Int_heap.min_prio h in
+    checkb "sorted" true (p >= !last);
+    check "value rides with its priority" p (Int_heap.min_value h);
+    last := p;
+    Int_heap.drop_min h
+  done
+
 let test_int_heap_order () =
   let h = Int_heap.create () in
   List.iter
@@ -375,15 +348,6 @@ let test_table_cells () =
 
 let suite =
   [
-    ( "util.pqueue",
-      [
-        Alcotest.test_case "ordering" `Quick test_pqueue_order;
-        Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-        Alcotest.test_case "pop_until" `Quick test_pqueue_pop_until;
-        Alcotest.test_case "growth keeps order" `Quick test_pqueue_grows;
-        Alcotest.test_case "clear" `Quick test_pqueue_clear;
-        QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-      ] );
     ( "util.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -419,6 +383,8 @@ let suite =
     ( "util.int_heap",
       [
         Alcotest.test_case "min ordering" `Quick test_int_heap_order;
+        Alcotest.test_case "fifo ties" `Quick test_int_heap_fifo_ties;
+        Alcotest.test_case "growth keeps order" `Quick test_int_heap_grows;
         QCheck_alcotest.to_alcotest prop_int_heap_sorted;
       ] );
     ( "util.domain_pool",
