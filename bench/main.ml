@@ -36,6 +36,7 @@ module Trace = Mosaic_trace.Trace
 module Table = Mosaic_util.Table
 module Stats = Mosaic_util.Stats
 module Dse = Mosaic_accel.Dse
+module Span = Mosaic_obs.Span
 
 let fcell = Table.fcell
 let icell = Table.icell
@@ -61,14 +62,17 @@ type parboil_result = {
   trace_source : Mosaic_trace.Store.source;
 }
 
+(* One OoO tile on the xeon preset: the configuration behind every
+   speed.<kernel>.* figure. *)
+let xeon_ooo ?profile ?sample ?progress inst trace =
+  Soc.run_homogeneous ?profile ?sample ?progress Presets.xeon_soc
+    ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
+
 let run_parboil name =
   let inst = W.Registry.instance name in
   let trace, cache = W.Runner.trace_cached_full inst ~ntiles:1 in
   let comp_control, comp_memory = Trace.compressed_bytes trace in
-  let r =
-    Soc.run_homogeneous Presets.xeon_soc ~program:inst.W.Runner.program ~trace
-      ~tile_config:TC.out_of_order
-  in
+  let r = xeon_ooo inst trace in
   let x =
     X86.run ~program:inst.W.Runner.program ~trace
       ~hierarchy:Presets.xeon_hierarchy ()
@@ -724,24 +728,20 @@ let speed () =
              Mosaic.Sample.auto
                ~total_instrs:(Trace.total_dyn_instrs trace)
            in
-           let s =
-             Soc.run_homogeneous ~sample:spec Presets.xeon_soc
-               ~program:inst.W.Runner.program ~trace
-               ~tile_config:TC.out_of_order
+           let s = xeon_ooo ~sample:spec inst trace in
+           let rep = Option.get s.Soc.sample in
+           let est = rep.Mosaic.Sample.est_cycles in
+           let err_pct =
+             100.0
+             *. Float.abs (float_of_int (est - r.mosaic_cycles))
+             /. float_of_int r.mosaic_cycles
            in
-           (r, s))
+           (r, s, rep, err_pct))
          rs
   in
   List.iter
-    (fun (r, (s : Soc.result)) ->
-      let rep = Option.get s.Soc.sample in
+    (fun (r, (s : Soc.result), (rep : Mosaic.Sample.report), err_pct) ->
       let p suffix = Printf.sprintf "speed.sample.%s.%s" r.pname suffix in
-      let err_pct =
-        100.0
-        *. Float.abs
-             (float_of_int (rep.Mosaic.Sample.est_cycles - r.mosaic_cycles))
-        /. float_of_int r.mosaic_cycles
-      in
       let speedup =
         if s.Soc.host_seconds > 0.0 then r.host_seconds /. s.Soc.host_seconds
         else Float.infinity
@@ -760,7 +760,7 @@ let speed () =
     exp
       (Stats.mean
          (List.map
-            (fun (r, (s : Soc.result)) ->
+            (fun (r, (s : Soc.result), _, _) ->
               log
                 (Stdlib.max 1e-9
                    (if s.Soc.host_seconds > 0.0 then
@@ -769,15 +769,7 @@ let speed () =
             sample_rows))
   in
   let sample_max_err =
-    List.fold_left
-      (fun acc (r, (s : Soc.result)) ->
-        let rep = Option.get s.Soc.sample in
-        Float.max acc
-          (100.0
-          *. Float.abs
-               (float_of_int (rep.Mosaic.Sample.est_cycles - r.mosaic_cycles))
-          /. float_of_int r.mosaic_cycles))
-      0.0 sample_rows
+    List.fold_left (fun acc (_, _, _, e) -> Float.max acc e) 0.0 sample_rows
   in
   gauge "speed.sample.geomean_speedup" sample_geomean;
   gauge "speed.sample.max_err_pct" sample_max_err;
@@ -797,18 +789,12 @@ let speed () =
         Table.column "speedup";
       ]
     (List.map
-       (fun (r, (s : Soc.result)) ->
-         let rep = Option.get s.Soc.sample in
+       (fun (r, (s : Soc.result), (rep : Mosaic.Sample.report), err_pct) ->
          [
            r.pname;
            icell r.mosaic_cycles;
            icell rep.Mosaic.Sample.est_cycles;
-           fcell ~decimals:2
-             (100.0
-             *. Float.abs
-                  (float_of_int
-                     (rep.Mosaic.Sample.est_cycles - r.mosaic_cycles))
-             /. float_of_int r.mosaic_cycles);
+           fcell ~decimals:2 err_pct;
            icell rep.Mosaic.Sample.periods;
            fcell ~decimals:3 r.host_seconds;
            fcell ~decimals:3 s.Soc.host_seconds;
@@ -839,7 +825,7 @@ let speed () =
       cores_avail speed_json_file;
   let shard_rows =
     List.map
-      (fun (e : Mosaic_suite.Shard_suite.entry) ->
+      (fun (e : Shard_suite.entry) ->
         let serial = e.run ~shards:1 in
         let sharded = e.run ~shards:nshards in
         if serial.Soc.cycles <> sharded.Soc.cycles then
@@ -854,10 +840,10 @@ let speed () =
           else Float.infinity
         in
         (e, serial, sharded, speedup))
-      Mosaic_suite.Shard_suite.entries
+      Shard_suite.entries
   in
   List.iter
-    (fun ((e : Mosaic_suite.Shard_suite.entry), (serial : Soc.result),
+    (fun ((e : Shard_suite.entry), (serial : Soc.result),
           (sharded : Soc.result), speedup) ->
       let p suffix = Printf.sprintf "speed.shard.%s.%s" e.name suffix in
       gauge (p "serial_seconds") serial.Soc.host_seconds;
@@ -887,7 +873,7 @@ let speed () =
         Table.column "speedup";
       ]
     (List.map
-       (fun ((e : Mosaic_suite.Shard_suite.entry), serial, sharded, speedup) ->
+       (fun ((e : Shard_suite.entry), serial, sharded, speedup) ->
          ignore (serial : Soc.result);
          [
            e.name;
@@ -905,11 +891,8 @@ let speed () =
      the ratio records how much host time the attribution costs. *)
   let inst = W.Registry.instance "spmv" in
   let trace = W.Runner.trace_cached inst ~ntiles:1 in
-  let run ~profile =
-    Soc.run_homogeneous ~profile Presets.xeon_soc
-      ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
-  in
-  let plain = run ~profile:false and prof = run ~profile:true in
+  let plain = xeon_ooo inst trace
+  and prof = xeon_ooo ~profile:true inst trace in
   assert (plain.Soc.cycles = prof.Soc.cycles);
   let overhead =
     if prof.Soc.mips > 0.0 then plain.Soc.mips /. prof.Soc.mips
@@ -934,6 +917,35 @@ let speed () =
       [ "unprofiled"; icell plain.Soc.cycles; fcell plain.Soc.mips; "-" ];
       [ "profiled"; icell prof.Soc.cycles; fcell prof.Soc.mips; fcell overhead ];
     ];
+  (* The profiler's two promises, on every Parboil kernel: it observes the
+     timing model without perturbing it (cycles equal the unprofiled
+     run's), and its attribution is total (each tile's causes sum to the
+     cycle count). *)
+  List.iter
+    (fun (r, (p : Soc.result)) ->
+      if p.Soc.cycles <> r.mosaic_cycles then
+        failwith
+          (Printf.sprintf "profiling perturbed %s: %d cycles plain, %d profiled"
+             r.pname r.mosaic_cycles p.Soc.cycles);
+      Array.iteri
+        (fun i prof ->
+          let total = Mosaic_tile.Profile.total prof in
+          if total <> p.Soc.cycles then
+            failwith
+              (Printf.sprintf
+                 "profile of %s tile %d attributes %d cycles, not %d" r.pname
+                 i total p.Soc.cycles))
+        p.Soc.profiles)
+    (W.Runner.run_batch ~jobs:!jobs
+    @@ List.map
+         (fun r () ->
+           let inst = W.Registry.instance r.pname in
+           let trace = W.Runner.trace_cached inst ~ntiles:1 in
+           (r, xeon_ooo ~profile:true inst trace))
+         rs);
+  Printf.printf
+    "profiler: cycles unperturbed and attribution total on %d kernels\n\n"
+    (List.length rs);
   (* One-trace-many-configs incremental DSE: the 16-point default L1 x L2
      grid, re-timed from a single profiled simulation, with every point
      also fully simulated so the speedup and error figures below are
@@ -944,18 +956,17 @@ let speed () =
     Mosaic.Sweep.grid
       (List.map Mosaic.Sweep.axis_of_spec Mosaic.Sweep.default_axes)
   in
+  let sweep_exact ?(cfg = Presets.xeon_soc) name grid =
+    let inst = W.Registry.instance name in
+    Mosaic.Sweep.run ~exact:true cfg ~tile_config:TC.out_of_order
+      ~program:inst.W.Runner.program
+      ~trace:(W.Runner.trace_cached inst ~ntiles:1)
+      grid
+  in
   let sweep_rows =
     W.Runner.run_batch ~jobs:!jobs
     @@ List.map
-         (fun name () ->
-           let inst = W.Registry.instance name in
-           let trace = W.Runner.trace_cached inst ~ntiles:1 in
-           let s =
-             Mosaic.Sweep.run ~exact:true Presets.xeon_soc
-               ~tile_config:TC.out_of_order ~program:inst.W.Runner.program
-               ~trace sweep_grid
-           in
-           (name, s))
+         (fun name () -> (name, sweep_exact name sweep_grid))
          sweep_workloads
   in
   List.iter
@@ -1002,6 +1013,113 @@ let speed () =
          ])
        sweep_rows);
   Printf.printf "sweep geomean speedup: %.1fx\n\n" sweep_geomean;
+  (* The retiming contract. A freq sweep changes no timing input, so
+     every point is bit-exact (retimed = oracle = base), as are retiming
+     at the base config and the l1=32 point (the xeon preset's own L1).
+     The l1 and plm sweeps' worst errors are gauges bounded in
+     bench/speed.rules. *)
+  let sweep1 ?cfg name spec =
+    sweep_exact ?cfg name (Mosaic.Sweep.grid [ Mosaic.Sweep.axis_of_spec spec ])
+  in
+  let bit_exact what retimed expected =
+    if retimed <> expected then
+      failwith
+        (Printf.sprintf "retiming %s: %d cycles, expected %d bit-exact" what
+           retimed expected)
+  in
+  let s = sweep1 "spmv" "freq=1,2,3.2,4" in
+  let base = s.Mosaic.Sweep.base.Soc.cycles in
+  Array.iter
+    (fun (p : Mosaic.Sweep.point) ->
+      bit_exact ("spmv " ^ p.label) p.retimed.Mosaic.Retime.cycles base;
+      bit_exact ("spmv oracle " ^ p.label) (Option.get p.exact_cycles) base)
+    s.Mosaic.Sweep.points;
+  let prep = s.Mosaic.Sweep.prep in
+  bit_exact "spmv at base"
+    (Mosaic.Retime.run prep Presets.xeon_soc prep.Mosaic.Retime.base_tiles)
+      .Mosaic.Retime.cycles base;
+  let s = sweep1 "spmv" "l1=8,16,32,64" in
+  (match
+     Array.find_opt
+       (fun (p : Mosaic.Sweep.point) -> p.label = "l1=32")
+       s.Mosaic.Sweep.points
+   with
+  | Some p ->
+      bit_exact "spmv l1=32" p.retimed.Mosaic.Retime.cycles
+        (Option.get p.exact_cycles)
+  | None -> failwith "retiming: the spmv l1 sweep has no l1=32 point");
+  let l1_err = Mosaic.Sweep.max_err_pct s in
+  let plm_err =
+    Mosaic.Sweep.max_err_pct
+      (sweep1 ~cfg:Presets.dae_soc "sgemm-accel" "plm=4,16,64,256")
+  in
+  gauge "speed.retime.l1.max_err_pct" l1_err;
+  gauge "speed.retime.plm.max_err_pct" plm_err;
+  Printf.printf
+    "retiming: spmv freq sweep and base point bit-exact; max error spmv l1 \
+     %.2f%%, sgemm-accel plm %.2f%%\n\n"
+    l1_err plm_err;
+  (* Host telemetry: spans plus a progress meter leave cycles identical,
+     and the "sim" span agrees with a wall clock held around the run. The
+     overhead ratio is of min-of-reps totals, with modes alternating so
+     drift in host load hits both; the span error is a fraction of its
+     tolerance, 5% of the wall time plus 20 ms. Under --manifest the
+     tracer is already on and its spans belong to the manifest, so it is
+     suspended, not reset, for the plain runs. *)
+  let plain_total = ref 0.0 and telem_total = ref 0.0 in
+  let span_err = ref 0.0 in
+  List.iter
+    (fun name ->
+      let inst = W.Registry.instance name in
+      let trace = W.Runner.trace_cached inst ~ntiles:1 in
+      let cycles = ref None in
+      let timed ?progress () =
+        let t0 = Unix.gettimeofday () in
+        let r = xeon_ooo ?progress inst trace in
+        let wall = Unix.gettimeofday () -. t0 in
+        (match !cycles with
+        | Some c when c <> r.Soc.cycles ->
+            failwith
+              (Printf.sprintf "telemetry perturbed %s: %d then %d cycles" name
+                 c r.Soc.cycles)
+        | _ -> cycles := Some r.Soc.cycles);
+        wall
+      in
+      let plain = ref infinity and telem = ref infinity in
+      for _ = 1 to 2 do
+        let wall = Span.with_enabled false (fun () -> timed ()) in
+        plain := Float.min !plain wall;
+        Span.with_enabled true (fun () ->
+            let before = List.length (Span.spans ()) in
+            let progress =
+              Mosaic_obs.Progress.create ~interval_s:0.01 ~print:ignore
+                ~label:name
+                ~total_instrs:(Some (Trace.total_dyn_instrs trace))
+                ()
+            in
+            let wall = timed ~progress () in
+            telem := Float.min !telem wall;
+            match
+              List.find_opt
+                (fun (c : Span.completed) -> c.name = "sim")
+                (List.filteri (fun i _ -> i >= before) (Span.spans ()))
+            with
+            | Some c ->
+                span_err :=
+                  Float.max !span_err
+                    (Float.abs (c.dur_s -. wall) /. ((0.05 *. wall) +. 0.02))
+            | None -> failwith ("no \"sim\" span recorded for " ^ name))
+      done;
+      plain_total := !plain_total +. !plain;
+      telem_total := !telem_total +. !telem)
+    [ "spmv"; "histo"; "bfs" ];
+  let telem_ratio = !telem_total /. !plain_total in
+  gauge "speed.telemetry.overhead_ratio" telem_ratio;
+  gauge "speed.telemetry.span_err_frac" !span_err;
+  Printf.printf
+    "telemetry: cycles unperturbed; overhead ratio %.3f, worst span error \
+     %.2f of tolerance\n\n"
+    telem_ratio !span_err;
   (* Provenance rides along with the numbers: available cores, OCaml
      version, timestamp, and git rev as a "host" member of the same
      object. Comparison tools key on speed.* and ignore it. *)
@@ -1404,7 +1522,7 @@ let () =
           | f ->
               manifest_file := Some f;
               (* Spans must be recording before any section runs. *)
-              Mosaic_obs.Span.set_enabled true);
+              Span.set_enabled true);
           false
         end
         else if String.starts_with ~prefix:"--trace-cache=" a then begin

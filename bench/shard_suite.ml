@@ -1,9 +1,7 @@
 (* The multi-tile workloads that the sharded scheduler is measured and
-   guarded on. Bench publishes their serial/sharded timings and cycles as
-   [speed.shard.*]; [tools/check_cycle_drift --sharded] re-runs them
-   against the committed baseline. One definition here keeps the two in
-   exact agreement — a guard that ran different workloads than the bench
-   published would guard nothing. *)
+   guarded on. The speed section simulates each serially and sharded,
+   fails on any cycle mismatch, and publishes [speed.shard.*], whose
+   cycles `mosaicsim diff` holds to the committed baseline. *)
 
 module W = Mosaic_workloads
 module TC = Mosaic_tile.Tile_config

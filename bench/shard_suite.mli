@@ -1,8 +1,8 @@
 (** The multi-tile workload suite that measures and guards the sharded
-    scheduler. Shared by the bench suite (publishes [speed.shard.*]) and
-    [tools/check_cycle_drift --sharded] (asserts bit-identical cycles
-    against the committed baseline), so both always run exactly the same
-    simulations. *)
+    scheduler. The speed section runs each entry serially and sharded,
+    fails unless both give the same cycles, and publishes
+    [speed.shard.*]; `mosaicsim diff` then holds those cycles to the
+    committed baseline. *)
 
 type entry = {
   name : string;

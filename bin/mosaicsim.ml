@@ -1161,28 +1161,74 @@ let diff_cmd =
     let doc = "Also list identical and within-threshold keys." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
-  let run baseline candidate threshold all =
-    let module Diff = Mosaic_obs.Diff in
-    let entries =
-      Diff.compare ~threshold
-        (Diff.flatten_file baseline)
-        (Diff.flatten_file candidate)
+  let rules_arg =
+    let doc =
+      "Also hold the candidate to the bounds in $(docv) (lines of \
+       $(i,GLOB) $(b,max) $(i,V), $(i,GLOB) $(b,min) $(i,V) or $(i,GLOB) \
+       $(b,sum-max) $(i,F) $(i,FLOOR); see bench/speed.rules). The \
+       baseline is the reference side of $(b,sum-max). Each violation is \
+       listed with its line, and the exit code is 1."
     in
+    Arg.(value & opt (some file) None & info [ "rules" ] ~docv:"FILE" ~doc)
+  in
+  (* Unreadable input is a usage error: one stderr line naming the file
+     (and the line, for a rules file), exit 2. *)
+  let bad_input where msg =
+    Printf.eprintf "mosaicsim diff: %s: %s\n" where msg;
+    exit 2
+  in
+  let run baseline candidate threshold all rules =
+    let module Diff = Mosaic_obs.Diff in
+    let module Rules = Mosaic_obs.Rules in
+    let load file =
+      try Diff.flatten_file file with
+      | Mosaic_obs.Json.Parse_error msg | Invalid_argument msg | Sys_error msg
+        ->
+          bad_input file msg
+    in
+    let rules =
+      Option.map
+        (fun file ->
+          try (file, Rules.load file) with
+          | Rules.Parse_error (line, msg) ->
+              bad_input (Printf.sprintf "%s:%d" file line) msg
+          | Sys_error msg -> bad_input file msg)
+        rules
+    in
+    let a = load baseline and b = load candidate in
+    let entries = Diff.compare ~threshold a b in
     print_string (Diff.render ~show_identical:all entries);
+    let plural n = if n = 1 then "" else "s" in
     let drift = Diff.cycle_drift entries in
-    if drift <> [] then begin
-      Printf.printf "cycle drift: %d key%s differ\n" (List.length drift)
-        (if List.length drift = 1 then "" else "s");
-      exit 1
-    end
+    if drift <> [] then
+      Printf.printf "cycle drift on %d key%s\n" (List.length drift)
+        (plural (List.length drift));
+    let violations =
+      match rules with
+      | None -> []
+      | Some (file, rules) ->
+          let vs = Rules.check rules ~baseline:a b in
+          List.iter
+            (fun (v : Rules.violation) ->
+              Printf.printf "RULE %s:%d (%s): %s\n" file v.rule.line
+                (Rules.describe v.rule) v.detail)
+            vs;
+          Printf.printf "rules: %d checked, %d violation%s\n"
+            (List.length rules) (List.length vs)
+            (plural (List.length vs));
+          vs
+    in
+    if drift <> [] || violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
          "Compare two run artifacts (manifests or metrics JSON) key by key; \
-          exits non-zero on any cycle-count drift")
+          exits 1 on any cycle-count drift or rules violation, 2 on \
+          unreadable input")
     Term.(
-      const run $ baseline_arg $ candidate_arg $ threshold_arg $ all_arg)
+      const run $ baseline_arg $ candidate_arg $ threshold_arg $ all_arg
+      $ rules_arg)
 
 let main =
   let doc = "MosaicSim: lightweight modular simulation of heterogeneous systems" in

@@ -1,8 +1,8 @@
-(** Function-rebuilding helpers shared by compiler passes.
+(** Function-rebuilding helpers for the DAE slicer ({!Dae}).
 
-    Passes manipulate instruction lists per block and then call [renumber]
-    to restore the invariant that instruction ids are contiguous and ordered
-    block-by-block. *)
+    The slicer manipulates instruction lists per block and then calls
+    [renumber] to restore the invariant that instruction ids are
+    contiguous and ordered block-by-block. *)
 
 (** [renumber ~name ~nparams ~nregs blocks] rebuilds a function from blocks
     whose instructions may carry stale ids; fresh ids are assigned in block

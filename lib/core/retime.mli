@@ -18,7 +18,8 @@
     - On config axes that cannot change simulated timing (frequency,
       energy parameters), results stay bit-identical to the exact oracle.
     - Elsewhere {!run} is an estimate; [Sweep] measures its error
-      against the [--exact] oracle, and [tools/check_sweep] bounds it. *)
+      against the [--exact] oracle, and the bench's [speed] section
+      publishes it for [bench/speed.rules] to bound. *)
 
 type prep = {
   base_cfg : Soc.config;

@@ -106,13 +106,19 @@ let pool_hook () =
   let tok = begin_span "pool.task" in
   fun () -> end_span tok
 
-let set_enabled b =
+let switch b =
   Atomic.set enabled_flag b;
-  if b then begin
-    mark_epoch ();
-    Mosaic_util.Domain_pool.set_task_hook (Some pool_hook)
-  end
-  else Mosaic_util.Domain_pool.set_task_hook None
+  Mosaic_util.Domain_pool.set_task_hook (if b then Some pool_hook else None)
+
+let set_enabled b =
+  if b then mark_epoch ();
+  switch b
+
+let with_enabled b f =
+  let was = enabled () in
+  if b && not was then mark_epoch ();
+  switch b;
+  Fun.protect ~finally:(fun () -> switch was) f
 
 let reset () =
   Mutex.lock lock;

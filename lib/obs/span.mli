@@ -34,6 +34,11 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
+val with_enabled : bool -> (unit -> 'a) -> 'a
+(** [with_enabled b f] runs [f] with the tracer on ([b]) or off, then
+    puts it back as it was. The epoch moves only if [f] turns a disabled
+    tracer on, so a suspended tracer resumes on its old timeline. *)
+
 val reset : unit -> unit
 (** Drop all completed spans and restart the epoch (keeps enablement). *)
 

@@ -1,9 +1,8 @@
-(* Tests for the compiler: DDG, optimization passes, DAE slicing. *)
+(* Tests for the compiler: DDG, rewrite helpers, DAE slicing. *)
 
 open Mosaic_ir
 module B = Builder
 module Ddg = Mosaic_compiler.Ddg
-module Passes = Mosaic_compiler.Passes
 module Dae = Mosaic_compiler.Dae
 module Rewrite = Mosaic_compiler.Rewrite
 module Interp = Mosaic_trace.Interp
@@ -98,7 +97,7 @@ let test_def_use_counts () =
   checki "a defined once" 1 defs.(1);
   checki "a used once" 1 uses.(1)
 
-(* --- Passes --- *)
+(* --- DAE slicing --- *)
 
 let count_class f cls =
   Array.fold_left
@@ -108,129 +107,6 @@ let count_class f cls =
           if Op.classify i.Instr.op = cls then acc + 1 else acc)
         acc b.Func.instrs)
     0 f.Func.blocks
-
-let test_constant_fold () =
-  let p = Program.create () in
-  let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
-  let f =
-    B.define p "cf" ~nparams:0 (fun b ->
-        let c = B.add b (B.imm 2) (B.imm 3) in
-        let d = B.mul b c (B.imm 4) in
-        B.store b ~addr:(B.elem b out (B.imm 0)) d;
-        B.ret b ())
-  in
-  let f' = Passes.optimize f in
-  checkb "shrank" true (Passes.size f' < Passes.size f);
-  (* semantics preserved *)
-  let p2 = Program.create () in
-  let _ = Program.alloc p2 "out" ~elems:1 ~elem_size:8 in
-  Program.add_func p2 f';
-  let it = Interp.create p2 ~kernel:"cf" ~ntiles:1 ~args:[] in
-  let _ = Interp.run it in
-  checki "still 20" 20
-    (Value.to_int (Interp.peek it (Program.global_exn p2 "out").Program.base))
-
-let test_dce () =
-  let p = Program.create () in
-  let f =
-    B.define p "dead" ~nparams:1 (fun b ->
-        let _ = B.add b (B.param b 0) (B.imm 1) in
-        let _ = B.mul b (B.param b 0) (B.imm 2) in
-        B.ret b ())
-  in
-  let f' = Passes.dead_code_elim f in
-  checki "all dead removed" 1 (Passes.size f')
-
-let test_dce_keeps_effects () =
-  let p = Program.create () in
-  let g = Program.alloc p "g" ~elems:1 ~elem_size:8 in
-  let f =
-    B.define p "effects" ~nparams:0 (fun b ->
-        B.store b ~addr:(B.elem b g (B.imm 0)) (B.imm 1);
-        B.ret b ())
-  in
-  let f' = Passes.dead_code_elim f in
-  checki "stores kept" (Passes.size f) (Passes.size f')
-
-let test_optimize_preserves_loop_semantics () =
-  let p = Program.create () in
-  let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
-  let f =
-    B.define p "k" ~nparams:1 (fun b ->
-        let acc = B.var b (B.imm 0) in
-        B.for_ b ~from:(B.imm 0) ~to_:(B.param b 0) (fun i ->
-            (* foldable subexpression inside the loop *)
-            let three = B.add b (B.imm 1) (B.imm 2) in
-            B.assign b ~var:acc (B.add b acc (B.mul b i three)));
-        B.store b ~addr:(B.elem b out (B.imm 0)) acc;
-        B.ret b ())
-  in
-  let f' = Passes.optimize f in
-  checkb "folded something" true (Passes.size f' < Passes.size f);
-  let p2 = Program.create () in
-  let out2 = Program.alloc p2 "out" ~elems:1 ~elem_size:8 in
-  Program.add_func p2 f';
-  let it = Interp.create p2 ~kernel:"k" ~ntiles:1 ~args:[ Value.of_int 5 ] in
-  let _ = Interp.run it in
-  (* sum of 3i for i<5 = 30 *)
-  checki "sum preserved" 30 (Value.to_int (Interp.peek it out2.Program.base))
-
-(* --- CSE --- *)
-
-let test_cse_removes_duplicates () =
-  let p = Program.create () in
-  let g = Program.alloc p "g" ~elems:8 ~elem_size:4 in
-  let f =
-    B.define p "dup" ~nparams:1 (fun b ->
-        let i = B.param b 0 in
-        (* two identical address computations *)
-        let a1 = B.elem b g i in
-        let v = B.load b ~size:4 a1 in
-        let a2 = B.elem b g i in
-        B.store b ~size:4 ~addr:a2 (B.fadd b v (B.fimm 1.0));
-        B.ret b ())
-  in
-  let f' = Passes.common_subexpr_elim f in
-  checkb "one gep eliminated" true (Passes.size f' < Passes.size f);
-  checki "exactly one" (Passes.size f - 1) (Passes.size f')
-
-let test_cse_respects_redefinition () =
-  let p = Program.create () in
-  let f =
-    B.define p "redef" ~nparams:1 (fun b ->
-        let x = B.var b (B.param b 0) in
-        let a = B.add b x (B.imm 1) in
-        B.assign b ~var:x (B.imm 9);
-        (* same textual expression but x changed: must NOT be reused *)
-        let bv = B.add b x (B.imm 1) in
-        let _ = B.mul b a bv in
-        B.ret b ())
-  in
-  let f' = Passes.common_subexpr_elim f in
-  checki "nothing eliminated" (Passes.size f) (Passes.size f')
-
-let test_cse_preserves_semantics () =
-  let p = Program.create () in
-  let g = Program.alloc p "g" ~elems:8 ~elem_size:8 in
-  let f =
-    B.define p "k" ~nparams:1 (fun b ->
-        let i = B.param b 0 in
-        let a1 = B.elem b g i in
-        let a2 = B.elem b g i in
-        let v1 = B.load b a1 in
-        B.store b ~addr:a2 (B.add b v1 (B.imm 5));
-        B.ret b ())
-  in
-  let f' = Passes.common_subexpr_elim f in
-  let p2 = Program.create () in
-  let g2 = Program.alloc p2 "g" ~elems:8 ~elem_size:8 in
-  Program.add_func p2 f';
-  let it = Interp.create p2 ~kernel:"k" ~ntiles:1 ~args:[ Value.of_int 3 ] in
-  Interp.poke_global it g2 3 (Value.of_int 10);
-  let _ = Interp.run it in
-  checki "in-place add" 15 (Value.to_int (Interp.peek_global it g2 3))
-
-(* --- DAE slicing --- *)
 
 let daeable_kernel () =
   let p = Program.create () in
@@ -371,18 +247,6 @@ let suite =
         Alcotest.test_case "class histogram" `Quick test_ddg_class_histogram;
       ] );
     ("compiler.rewrite", [ Alcotest.test_case "def/use counts" `Quick test_def_use_counts ]);
-    ( "compiler.passes",
-      [
-        Alcotest.test_case "constant folding" `Quick test_constant_fold;
-        Alcotest.test_case "dead code elimination" `Quick test_dce;
-        Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
-        Alcotest.test_case "optimize preserves loops" `Quick
-          test_optimize_preserves_loop_semantics;
-        Alcotest.test_case "cse removes duplicates" `Quick test_cse_removes_duplicates;
-        Alcotest.test_case "cse respects redefinition" `Quick
-          test_cse_respects_redefinition;
-        Alcotest.test_case "cse preserves semantics" `Quick test_cse_preserves_semantics;
-      ] );
     ( "compiler.dae",
       [
         Alcotest.test_case "slice structure" `Quick test_dae_structure;

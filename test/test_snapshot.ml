@@ -274,8 +274,8 @@ let test_container_refuses_v1 () =
 (* Interval sampling sanity: the sampled run completes every instruction,
    reports a plausible estimate (deterministically), and rejects malformed
    specs. Accuracy at scale is measured in the bench suite against the
-   exact oracle (speed.sample.* in BENCH_speed.json, guarded by
-   tools/check_sample). *)
+   exact oracle (speed.sample.* in BENCH_speed.json, bounded by
+   bench/speed.rules). *)
 let test_sampling () =
   (* Large enough that the cold-start transient is a small fraction of the
      run — sampling is an asymptotic technique; tiny runs are all

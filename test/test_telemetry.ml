@@ -1,5 +1,5 @@
-(* Host-side telemetry: span tracer, progress heartbeat, manifests and
-   the diff classifier.
+(* Host-side telemetry: span tracer, progress heartbeat, manifests, the
+   diff classifier and its rules engine.
 
    The tracer's contract is structural (every scope completes exactly
    once, at the right depth, with a non-negative duration — for any
@@ -12,6 +12,7 @@
 module Span = Mosaic_obs.Span
 module Progress = Mosaic_obs.Progress
 module Diff = Mosaic_obs.Diff
+module Rules = Mosaic_obs.Rules
 module Manifest = Mosaic_obs.Manifest
 module Metrics = Mosaic_obs.Metrics
 module Json = Mosaic_obs.Json
@@ -86,6 +87,25 @@ let test_span_disabled_noop () =
   let t = Span.begin_span "also ignored" in
   Span.end_span t;
   checki "nothing recorded" 0 (List.length (Span.spans ()))
+
+(* Suspending a running tracer records nothing, then resumes on the same
+   timeline: a later span starts after an earlier one. *)
+let test_span_with_enabled () =
+  Span.set_enabled true;
+  Span.reset ();
+  Span.with_span "before" (fun () -> Unix.sleepf 0.002);
+  Span.with_enabled false (fun () -> Span.with_span "hidden" ignore);
+  checkb "restored on" true (Span.enabled ());
+  Span.with_span "after" ignore;
+  Span.set_enabled false;
+  Span.with_enabled true (fun () -> Span.with_span "scoped" ignore);
+  checkb "restored off" false (Span.enabled ());
+  match Span.spans () with
+  | [ b; a; sc ] ->
+      checks "names" "before after scoped"
+        (String.concat " " [ b.Span.name; a.Span.name; sc.Span.name ]);
+      checkb "epoch kept" true (a.Span.start_s >= b.Span.dur_s)
+  | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l)
 
 let test_span_exception_balance () =
   Span.set_enabled true;
@@ -249,6 +269,86 @@ let test_diff_flatten_nested () =
   checkb "bools become strings" true
     (List.assoc "ok" leaves = Diff.Str "true")
 
+(* --- Rules engine ------------------------------------------------------ *)
+
+let nums kvs = List.map (fun (k, v) -> (k, Diff.Num v)) kvs
+
+(* (line, detail) of each violation of [text] on [candidate]. *)
+let violations ?(baseline = []) text candidate =
+  List.map
+    (fun (v : Rules.violation) -> (v.rule.line, v.detail))
+    (Rules.check (Rules.parse text) ~baseline:(nums baseline) (nums candidate))
+
+let test_rules_max_min () =
+  let c = [ ("a.err", 10.0); ("b.err", 3.0); ("speedup", 1.5) ] in
+  checki "max holds at the bound" 0 (List.length (violations "*.err max 10" c));
+  (match violations "*.err max 9.5" c with
+  | [ (1, d) ] -> checkb "names the key" true (contains ~needle:"a.err" d)
+  | l -> Alcotest.failf "expected one max violation, got %d" (List.length l));
+  checki "min holds at the bound" 0
+    (List.length (violations "speedup min 1.5" c));
+  checki "min fails below" 1 (List.length (violations "speedup min 1.6" c));
+  checki "NaN fails" 1
+    (List.length (violations "x max 1" [ ("x", Float.nan) ]));
+  checki "a string fails" 1
+    (List.length
+       (Rules.check (Rules.parse "x max 1") ~baseline:[]
+          [ ("x", Diff.Str "fast") ]))
+
+let test_rules_sum_max () =
+  let rule = "*.gen sum-max 0.10 0.05" in
+  let cold = [ ("a.gen", 1.0); ("b.gen", 1.0) ] in
+  checki "within 10% of the baseline sum" 0
+    (List.length
+       (violations ~baseline:cold rule [ ("a.gen", 0.1); ("b.gen", 0.1) ]));
+  checki "over 10% of the baseline sum" 1
+    (List.length
+       (violations ~baseline:cold rule [ ("a.gen", 0.1); ("b.gen", 0.11) ]));
+  let quick = [ ("a.gen", 0.1); ("b.gen", 0.1) ] in
+  checki "the floor covers a small baseline" 0
+    (List.length (violations ~baseline:quick rule [ ("a.gen", 0.05) ]));
+  checki "the floor is a ceiling too" 1
+    (List.length (violations ~baseline:quick rule [ ("a.gen", 0.051) ]))
+
+let test_rules_glob () =
+  checkb "star crosses dots" true
+    (Rules.glob_match "speed.*.trace_gen_seconds"
+       "speed.sample.bfs.trace_gen_seconds");
+  checkb "literal dot" false (Rules.glob_match "speed.*.err" "speed.max_err");
+  checkb "anchored" false (Rules.glob_match "speed.x" "speed.x.y");
+  checkb "two stars" true (Rules.glob_match "*.a*b" "x.y.a.zb");
+  checki "an unmatched glob fails" 1
+    (List.length (violations "speed.typo max 1" [ ("speed.real", 0.0) ]))
+
+let test_rules_parse_error () =
+  (match Rules.parse "# comment\n\nx max 1 # trailing\ny max\n" with
+  | _ -> Alcotest.fail "a line without a bound parsed"
+  | exception Rules.Parse_error (line, _) -> checki "located" 4 line);
+  (match Rules.parse "x max ten" with
+  | _ -> Alcotest.fail "a word for a number parsed"
+  | exception Rules.Parse_error (line, msg) ->
+      checki "line 1" 1 line;
+      checkb "quotes the token" true (contains ~needle:"ten" msg));
+  checki "comments and blanks only" 0
+    (List.length (Rules.parse "# nothing\n   \n\t\n"))
+
+(* The committed rules against the committed baseline, so a mistyped glob
+   or a bound the baseline itself breaks fails here. The warm-cache
+   budget relates a warm run to a cold one, which one file cannot show;
+   for it only the glob's match is checked. *)
+let test_committed_speed_rules () =
+  let rules = Rules.load "../bench/speed.rules" in
+  let bench = Diff.flatten_file "../BENCH_speed.json" in
+  checki "every bound present" 9 (List.length rules);
+  List.iter
+    (fun (v : Rules.violation) ->
+      match v.rule.bound with
+      | Rules.Sum_max _ when v.detail <> "no key matches" -> ()
+      | _ ->
+          Alcotest.failf "speed.rules:%d (%s): %s" v.rule.line
+            (Rules.describe v.rule) v.detail)
+    (Rules.check rules ~baseline:bench bench)
+
 (* --- Manifest --------------------------------------------------------- *)
 
 let test_manifest_roundtrip () =
@@ -326,6 +426,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_span_nesting;
         Alcotest.test_case "disabled tracer is a no-op" `Quick
           test_span_disabled_noop;
+        Alcotest.test_case "with_enabled suspends and restores" `Quick
+          test_span_with_enabled;
         Alcotest.test_case "raising bodies stay balanced" `Quick
           test_span_exception_balance;
         Alcotest.test_case "publish gauges + span JSON roundtrip" `Quick
@@ -341,6 +443,14 @@ let suite =
         Alcotest.test_case "diff: classification" `Quick test_diff_classes;
         Alcotest.test_case "diff: flatten shapes" `Quick
           test_diff_flatten_nested;
+        Alcotest.test_case "rules: max and min" `Quick test_rules_max_min;
+        Alcotest.test_case "rules: sum-max and floor" `Quick
+          test_rules_sum_max;
+        Alcotest.test_case "rules: globs" `Quick test_rules_glob;
+        Alcotest.test_case "rules: located parse errors" `Quick
+          test_rules_parse_error;
+        Alcotest.test_case "rules: committed speed.rules" `Quick
+          test_committed_speed_rules;
         Alcotest.test_case "manifest roundtrip + diff lens" `Quick
           test_manifest_roundtrip;
         Alcotest.test_case "spans+progress leave runs bit-identical" `Quick
