@@ -6,6 +6,7 @@
 open Mosaic_ir
 module Trace = Mosaic_trace.Trace
 module Store = Mosaic_trace.Store
+module Interp = Mosaic_trace.Interp
 module W = Mosaic_workloads
 
 let checkb = Alcotest.(check bool)
@@ -389,15 +390,14 @@ let test_gc_lru_pruning () =
   Store.set_cache_dir `Disabled;
   checkb "disabled cache has no report" true (Store.gc () = None)
 
-(* Absolute trace-cache keys, pinned in test/golden/workload_digests.txt.
-   The .mir twin tests only compare instances with each other, so a change
-   to the memory snapshot that moved both twins would pass them while
-   invalidating every cached trace. [Runner.cache_digest] is the key the
-   cached trace functions use; it runs dataset set-up only. *)
-let digest_lines () =
+(* The workloads both golden pin files cover: every registry name at 1
+   tile, [bfs], [histo] and [spmv] at 4 tiles (SPMD quanta, atomics, the
+   spin barrier), and the 4-tile projection DAE pair (send, recv,
+   load_send, store_recv). Each is a line label, the instance, and either
+   a tile count or a heterogeneous tile assignment. *)
+let pinned_workloads () =
   let homog name ntiles =
-    Printf.sprintf "%s %d %s" name ntiles
-      (W.Runner.cache_digest (W.Registry.instance name) ~ntiles)
+    (Printf.sprintf "%s %d" name ntiles, W.Registry.instance name, `Homog ntiles)
   in
   let dae =
     let inst, _ =
@@ -408,28 +408,95 @@ let digest_lines () =
       Array.init 4 (fun i ->
           ((if i < 2 then k ^ "_access" else k ^ "_execute"), inst.W.Runner.args))
     in
-    Printf.sprintf "projection-dae-n_left64-n_right128 pairs2 %s"
-      (W.Runner.cache_digest_hetero inst ~tiles)
+    ("projection-dae-n_left64-n_right128 pairs2", inst, `Hetero tiles)
   in
   List.map (fun n -> homog n 1) W.Registry.all_names
   @ List.map (fun n -> homog n 4) [ "bfs"; "histo"; "spmv" ]
   @ [ dae ]
 
-let test_workload_digests_pinned () =
-  let path = "golden/workload_digests.txt" in
+(* Absolute trace-cache keys, pinned in test/golden/workload_digests.txt.
+   The .mir twin tests only compare instances with each other, so a change
+   to the memory snapshot that moved both twins would pass them while
+   invalidating every cached trace. [Runner.cache_digest] is the key the
+   cached trace functions use; it runs dataset set-up only. *)
+let digest_lines () =
+  List.map
+    (fun (label, inst, shape) ->
+      let digest =
+        match shape with
+        | `Homog ntiles -> W.Runner.cache_digest inst ~ntiles
+        | `Hetero tiles -> W.Runner.cache_digest_hetero inst ~tiles
+      in
+      Printf.sprintf "%s %s" label digest)
+    (pinned_workloads ())
+
+(* What the interpreter produces for each pinned workload, in
+   test/golden/trace_digests.txt: the MD5 of the encoded trace, the MD5 of
+   the memory after the run, and the dynamic step count. A change to the
+   interpreter or the MSTR encoder that moves any of them changes what
+   every simulation sees. *)
+let memory_md5 contents =
+  let buf = Buffer.create (17 * Array.length contents) in
+  Array.iter
+    (fun (addr, v) ->
+      Buffer.add_int64_le buf (Int64.of_int addr);
+      match v with
+      | Value.Int i ->
+          Buffer.add_char buf 'i';
+          Buffer.add_int64_le buf i
+      | Value.Float f ->
+          Buffer.add_char buf 'f';
+          Buffer.add_int64_le buf (Int64.bits_of_float f))
+    contents;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let trace_lines () =
+  List.map
+    (fun (label, inst, shape) ->
+      let program = inst.W.Runner.program in
+      let it =
+        match shape with
+        | `Homog ntiles ->
+            Interp.create program ~kernel:inst.W.Runner.kernel ~ntiles
+              ~args:inst.W.Runner.args
+        | `Hetero tiles ->
+            Interp.create_hetero program ~label:inst.W.Runner.name ~tiles
+      in
+      Mosaic_accel.Accel_kinds.register_functional it;
+      inst.W.Runner.setup it;
+      let trace = Interp.run it in
+      if not (inst.W.Runner.check it) then Alcotest.failf "%s: wrong answer" label;
+      Printf.sprintf "%s %s %s %d" label
+        (Digest.to_hex (Digest.bytes (Trace.to_bytes ~digest:"" trace)))
+        (memory_md5 (Interp.memory_contents it))
+        (Interp.steps it))
+    (pinned_workloads ())
+
+let check_pinned ~path ~what ~advice actual =
   let expected =
     In_channel.with_open_text path In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  let actual = digest_lines () in
   if actual <> expected then
-    Alcotest.failf
-      "trace-cache keys moved, which invalidates every cached trace. If \
-       the change is deliberate, bump Store.semantics_version and replace \
-       %s with:\n%s"
-      path
+    Alcotest.failf "%s moved, %s and replace %s with:\n%s" what advice path
       (String.concat "\n" actual)
+
+let test_workload_digests_pinned () =
+  check_pinned ~path:"golden/workload_digests.txt"
+    ~what:"trace-cache keys"
+    ~advice:
+      "which invalidates every cached trace. If the change is deliberate, \
+       bump Store.semantics_version"
+    (digest_lines ())
+
+let test_trace_digests_pinned () =
+  check_pinned ~path:"golden/trace_digests.txt"
+    ~what:"interpreter traces, memory or step counts"
+    ~advice:
+      "which changes what every simulation sees. If the change is \
+       deliberate, bump Store.semantics_version"
+    (trace_lines ())
 
 let suite =
   [
@@ -459,5 +526,7 @@ let suite =
         Alcotest.test_case "gc prunes LRU-by-mtime" `Quick test_gc_lru_pruning;
         Alcotest.test_case "workload digests pinned" `Quick
           test_workload_digests_pinned;
+        Alcotest.test_case "trace digests pinned" `Quick
+          test_trace_digests_pinned;
       ] );
   ]
