@@ -15,34 +15,48 @@ let benchmark_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
+(* Bad input is not a crash: an unknown benchmark name, an unreadable
+   workload file, and a kernel that deadlocks or outruns the step budget
+   each give one "BENCH: error: ..." line and exit 1, the code .mir parse
+   errors use. *)
+let input_error bench msg =
+  Printf.eprintf "%s: error: %s\n%!" bench msg;
+  exit 1
+
 (* BENCH is either a registry name or a `.mir` workload file. Parse
    failures print located caret diagnostics, not a backtrace. *)
 let resolve_instance bench =
   if Filename.check_suffix bench ".mir" then (
-    try W.Mir_workload.load_file bench
-    with Failure msg ->
-      prerr_string msg;
-      if msg <> "" && msg.[String.length msg - 1] <> '\n' then
-        prerr_newline ();
-      exit 1)
-  else W.Registry.instance bench
+    try W.Mir_workload.load_file bench with
+    | Failure msg ->
+        prerr_string msg;
+        if msg <> "" && msg.[String.length msg - 1] <> '\n' then
+          prerr_newline ();
+        exit 1
+    | Sys_error msg -> input_error bench msg)
+  else if List.mem bench W.Registry.all_names then W.Registry.instance bench
+  else input_error bench "unknown benchmark (see the list command)"
 
-(* A kernel that deadlocks or outruns the step budget is bad input, not a
-   crash: [obtain bench f] reports either as one "BENCH: error: ..." line
-   and exits 1, the code .mir parse errors use. *)
 let obtain bench f =
-  let fail msg =
-    Printf.eprintf "%s: error: %s\n%!" bench msg;
-    exit 1
-  in
   try f () with
-  | Mosaic_trace.Interp.Deadlock msg -> fail msg
+  | Mosaic_trace.Interp.Deadlock msg -> input_error bench msg
   | Mosaic_trace.Interp.Step_limit n ->
-      fail (Printf.sprintf "step limit of %d dynamic instructions reached" n)
+      input_error bench
+        (Printf.sprintf "step limit of %d dynamic instructions reached" n)
+
+(* Tile, shard and job counts below 1 are usage errors, reported by
+   cmdliner like any other malformed option. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let tiles_arg =
   let doc = "Number of SPMD tiles." in
-  Arg.(value & opt int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
 
 let core_arg =
   let doc = "Core model: ooo or ino." in
@@ -68,7 +82,7 @@ let jobs_arg =
      (cycles, IPC, every counter) are identical at any job count; only \
      host-time readings wobble under contention."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -78,7 +92,7 @@ let shards_arg =
      bit-identical to --shards 1; speedup needs free host cores and more \
      than one tile."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 (* More shards than cores still gives bit-identical results, but waiting
    shards then park instead of spinning and every handoff goes through the

@@ -13,11 +13,91 @@ let put_varint buf v =
     else Buffer.add_char buf (Char.chr (byte lor 0x80))
   done
 
-let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
+(* [2v] for [v >= 0], [-2v - 1] otherwise, without a branch. *)
+let[@inline] zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 
 (* The exact inverse of [zigzag] for every int, including deltas of
    magnitude 2^61 or more, whose doubling in [zigzag] wraps. *)
 let unzigzag v = (v lsr 1) lxor -(v land 1)
+
+(* --- the byte sink encoders write into ---
+
+   One growable byte buffer. Every write first makes room for the longest
+   form it may take (a varint is at most 10 bytes), then stores bytes in
+   place. *)
+
+type sink = { mutable buf : Bytes.t; mutable len : int }
+
+let sink capacity = { buf = Bytes.create (Stdlib.max capacity 16); len = 0 }
+
+let sink_length s = s.len
+
+let sink_buffer s = s.buf
+
+let sink_contents s = Bytes.sub s.buf 0 s.len
+
+let grow s need =
+  let buf = Bytes.create (Stdlib.max (2 * Bytes.length s.buf) (s.len + need)) in
+  Bytes.blit s.buf 0 buf 0 s.len;
+  s.buf <- buf
+
+let[@inline] reserve s need = if s.len + need > Bytes.length s.buf then grow s need
+
+(* [v] as a varint at [p] in [buf], which has room for its 10 bytes;
+   returns the position after it. *)
+let[@inline] put buf p v =
+  let p = ref p and v = ref v in
+  while !v lsr 7 <> 0 do
+    Bytes.unsafe_set buf !p (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    incr p;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set buf !p (Char.unsafe_chr !v);
+  !p + 1
+
+(* After [reserve s 10]. *)
+let write_varint s v = s.len <- put s.buf s.len v
+
+let add_varint s v =
+  reserve s 10;
+  write_varint s v
+
+let add_char s c =
+  reserve s 1;
+  Bytes.unsafe_set s.buf s.len c;
+  s.len <- s.len + 1
+
+let add_string s str =
+  let n = String.length str in
+  reserve s n;
+  Bytes.blit_string str 0 s.buf s.len n;
+  s.len <- s.len + n
+
+let add_int64_le s x =
+  reserve s 8;
+  Bytes.set_int64_le s.buf s.len x;
+  s.len <- s.len + 8
+
+let varint_size v =
+  let rec go n v = if v lsr 7 = 0 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+(* The frame is written after a one-byte length and moved up in place when
+   its length takes more bytes than that. *)
+let add_framed s encode x =
+  reserve s 1;
+  let at = s.len in
+  s.len <- at + 1;
+  encode s x;
+  let n = s.len - at - 1 in
+  let w = varint_size n in
+  if w > 1 then begin
+    reserve s (w - 1);
+    Bytes.blit s.buf (at + 1) s.buf (at + w) n
+  end;
+  s.len <- at;
+  write_varint s n;
+  s.len <- at + w + n
 
 (* --- control-flow paths ---
 
@@ -28,40 +108,95 @@ let unzigzag v = (v lsr 1) lxor -(v land 1)
 
 let max_period = 8
 
-let encode_control path =
-  let buf = Buffer.create 256 in
+(* [period_of_bit.(1 lsl p)] is [p], for the periods [1 .. max_period]. *)
+let period_of_bit =
+  let t = Array.make ((1 lsl max_period) + 1) 0 in
+  for p = 1 to max_period do
+    t.(1 lsl p) <- p
+  done;
+  t
+
+(* The stream encoders write a batch of entries at a time into room
+   reserved for the batch's longest encoding, so their inner loops call
+   nothing: a call would make the compiler keep the loop's state on the
+   stack. *)
+let batch = 4096
+
+(* A token takes at most a tag and two varints. *)
+let max_token = 21
+
+let add_control s path =
   let n = Array.length path in
-  put_varint buf n;
+  add_varint s n;
   let i = ref 0 in
   while !i < n do
-    (* Longest immediate repetition of a short period ending here. *)
-    let best = ref None in
-    for period = 1 to Stdlib.min max_period !i do
-      (* count how many symbols from !i onward repeat the last [period] *)
-      let reps = ref 0 in
-      let j = ref !i in
-      while !j < n && path.(!j) = path.(!j - period) do
-        incr j;
-        incr reps
+    reserve s (Stdlib.min batch (n - !i) * max_token);
+    let buf = s.buf and p = ref s.len in
+    let room = Bytes.length buf - max_token in
+    while !i < n && !p <= room do
+      let here = !i in
+      let x = Array.unsafe_get path here in
+      (* Periods whose first symbol repeats, as bits 1..max_period (the
+         unrolled form assumes max_period = 8): often none, and then this
+         is a literal without a scan. *)
+      let candidates =
+        if here >= max_period then begin
+          let hit p = Bool.to_int (Array.unsafe_get path (here - p) = x) lsl p in
+          hit 1 lor hit 2 lor hit 3 lor hit 4 lor hit 5 lor hit 6 lor hit 7
+          lor hit 8
+        end
+        else begin
+          let c = ref 0 in
+          for p = 1 to here do
+            c := !c lor (Bool.to_int (Array.unsafe_get path (here - p) = x) lsl p)
+          done;
+          !c
+        end
+      in
+      (* Longest immediate repetition of a short period starting here: the
+         candidates are tried from the shortest period up, and a longer one
+         must cover strictly more to win. *)
+      let best_period = ref 0 and best_cover = ref 0 in
+      let rest = ref candidates in
+      while !rest <> 0 do
+        let bit = !rest land - !rest in
+        rest := !rest lxor bit;
+        let period = Array.unsafe_get period_of_bit bit in
+        let j = ref (here + 1) in
+        while
+          !j < n
+          && Array.unsafe_get path !j = Array.unsafe_get path (!j - period)
+        do
+          incr j
+        done;
+        let reps = !j - here in
+        if reps >= period then begin
+          let cover = reps / period * period in
+          if cover > !best_cover then begin
+            best_period := period;
+            best_cover := cover
+          end
+        end
       done;
-      let full = !reps / period in
-      if full >= 1 then
-        match !best with
-        | Some (_, best_cover) when full * period <= best_cover -> ()
-        | _ -> best := Some (period, full * period)
-    done;
-    match !best with
-    | Some (period, cover) when cover >= 2 ->
-        Buffer.add_char buf '\001';
-        put_varint buf period;
-        put_varint buf (cover / period);
-        i := !i + cover
-    | _ ->
-        Buffer.add_char buf '\000';
-        put_varint buf path.(!i);
+      if !best_cover >= 2 then begin
+        Bytes.unsafe_set buf !p '\001';
+        p := put buf (!p + 1) !best_period;
+        p := put buf !p (!best_cover / !best_period);
+        i := here + !best_cover
+      end
+      else begin
+        Bytes.unsafe_set buf !p '\000';
+        p := put buf (!p + 1) x;
         incr i
-  done;
-  Buffer.to_bytes buf
+      end
+    done;
+    s.len <- !p
+  done
+
+let encode_control path =
+  let s = sink 256 in
+  add_control s path;
+  sink_contents s
 
 (* Decoding is most of the cost of a warm trace-cache hit: millions of
    varints per trace. The decoders take the common short forms (a
@@ -148,16 +283,27 @@ let decode_control bytes = decode_control_sub bytes 0 (Bytes.length bytes)
 
 (* --- address streams: zig-zag deltas --- *)
 
+let add_addrs s addrs =
+  let n = Array.length addrs in
+  add_varint s n;
+  let prev = ref 0 and k = ref 0 in
+  while !k < n do
+    let stop = Stdlib.min n (!k + batch) in
+    reserve s (10 * (stop - !k));
+    let buf = s.buf and p = ref s.len in
+    for j = !k to stop - 1 do
+      let a = Array.unsafe_get addrs j in
+      p := put buf !p (zigzag (a - !prev));
+      prev := a
+    done;
+    s.len <- !p;
+    k := stop
+  done
+
 let encode_addrs addrs =
-  let buf = Buffer.create 256 in
-  put_varint buf (Array.length addrs);
-  let prev = ref 0 in
-  Array.iter
-    (fun a ->
-      put_varint buf (zigzag (a - !prev));
-      prev := a)
-    addrs;
-  Buffer.to_bytes buf
+  let s = sink 256 in
+  add_addrs s addrs;
+  sink_contents s
 
 (* Address deltas take one to three bytes in no predictable order, so a
    branch per byte mispredicts about once a word. Read four bytes as one

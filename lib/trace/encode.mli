@@ -28,10 +28,39 @@ val put_varint : Buffer.t -> int -> unit
 val zigzag : int -> int
 val unzigzag : int -> int
 
+(** {1 Byte sink}
+
+    A growable byte buffer written in place, which the stream encoders and
+    the trace container ({!Trace.to_bytes}) fill in one pass. *)
+
+type sink
+
+val sink : int -> sink
+
+val sink_length : sink -> int
+
+(** The storage itself, of which the first [sink_length] bytes are
+    written; valid until the next write. *)
+val sink_buffer : sink -> Bytes.t
+
+val sink_contents : sink -> Bytes.t
+
+val add_varint : sink -> int -> unit
+val add_char : sink -> char -> unit
+val add_string : sink -> string -> unit
+val add_int64_le : sink -> int64 -> unit
+
+(** [add_framed s encode x] writes what [encode s x] writes, preceded by
+    its length as a varint. *)
+val add_framed : sink -> (sink -> 'a -> unit) -> 'a -> unit
+
 (** {1 Stream encoders} *)
 
-(** Encode a control-flow path (block ids). *)
+(** Encode a control-flow path (block ids). [add_control] writes the same
+    bytes into a sink. *)
 val encode_control : int array -> Bytes.t
+
+val add_control : sink -> int array -> unit
 
 val decode_control : Bytes.t -> int array
 
@@ -42,6 +71,8 @@ val decode_control_sub : Bytes.t -> int -> int -> int array
 
 (** Encode one instruction's address stream. *)
 val encode_addrs : int array -> Bytes.t
+
+val add_addrs : sink -> int array -> unit
 
 val decode_addrs : Bytes.t -> int array
 

@@ -101,57 +101,77 @@ let magic = "MSTR"
 
 let format_version = 1
 
-let add_string buf s =
-  Encode.put_varint buf (String.length s);
-  Buffer.add_string buf s
+let add_string sink s =
+  Encode.add_varint sink (String.length s);
+  Encode.add_string sink s
 
-let add_framed buf bytes =
-  Encode.put_varint buf (Bytes.length bytes);
-  Buffer.add_bytes buf bytes
-
-let add_value buf v =
+let add_value sink v =
   match v with
   | Mosaic_ir.Value.Int i ->
-      Buffer.add_char buf '\000';
-      Buffer.add_int64_le buf i
+      Encode.add_char sink '\000';
+      Encode.add_int64_le sink i
   | Mosaic_ir.Value.Float f ->
-      Buffer.add_char buf '\001';
-      Buffer.add_int64_le buf (Int64.bits_of_float f)
+      Encode.add_char sink '\001';
+      Encode.add_int64_le sink (Int64.bits_of_float f)
 
-let add_tile buf tt =
-  Encode.put_varint buf tt.tile;
-  add_string buf tt.kernel;
-  Encode.put_varint buf tt.dyn_instrs;
-  add_framed buf (Encode.encode_control tt.bb_path);
-  Encode.put_varint buf (Array.length tt.mem_addrs);
-  Array.iter (fun addrs -> add_framed buf (Encode.encode_addrs addrs)) tt.mem_addrs;
-  Encode.put_varint buf (Array.length tt.accel_params);
+let add_tile sink tt =
+  Encode.add_varint sink tt.tile;
+  add_string sink tt.kernel;
+  Encode.add_varint sink tt.dyn_instrs;
+  Encode.add_framed sink Encode.add_control tt.bb_path;
+  Encode.add_varint sink (Array.length tt.mem_addrs);
+  Array.iter (Encode.add_framed sink Encode.add_addrs) tt.mem_addrs;
+  Encode.add_varint sink (Array.length tt.accel_params);
   Array.iter
     (fun invocations ->
-      Encode.put_varint buf (Array.length invocations);
+      Encode.add_varint sink (Array.length invocations);
       Array.iter
         (fun params ->
-          Encode.put_varint buf (Array.length params);
-          Array.iter (add_value buf) params)
+          Encode.add_varint sink (Array.length params);
+          Array.iter (add_value sink) params)
         invocations)
     tt.accel_params;
-  Encode.put_varint buf (Array.length tt.send_dsts);
-  Array.iter (fun ds -> add_framed buf (Encode.encode_addrs ds)) tt.send_dsts
+  Encode.add_varint sink (Array.length tt.send_dsts);
+  Array.iter (Encode.add_framed sink Encode.add_addrs) tt.send_dsts
+
+(* About two bytes an entry, which most traces stay under, so the sink
+   seldom grows; its untouched tail costs no memory. *)
+let size_hint t =
+  Array.fold_left
+    (fun acc tt ->
+      let streams a = Array.fold_left (fun n s -> n + 8 + (2 * Array.length s)) 0 a in
+      acc + 64
+      + (2 * Array.length tt.bb_path)
+      + streams tt.mem_addrs + streams tt.send_dsts
+      + Array.fold_left
+          (fun n inv ->
+            Array.fold_left (fun n ps -> n + 8 + (9 * Array.length ps)) (n + 8) inv)
+          0 tt.accel_params)
+    4096 t.tiles
+
+(* One pass into one sink: the header with a zeroed checksum, the payload,
+   then the MD5 of the payload slice written over the zeros. *)
+let encode ~digest t =
+  let sink = Encode.sink (size_hint t + String.length digest) in
+  Encode.add_string sink magic;
+  Encode.add_varint sink format_version;
+  add_string sink digest;
+  let md5_at = Encode.sink_length sink in
+  Encode.add_string sink (String.make 16 '\000');
+  let payload_at = Encode.sink_length sink in
+  add_string sink t.kernel;
+  Encode.add_varint sink t.ntiles;
+  Encode.add_varint sink (Array.length t.tiles);
+  Array.iter (add_tile sink) t.tiles;
+  let buf = Encode.sink_buffer sink and len = Encode.sink_length sink in
+  Bytes.blit_string
+    (Digest.subbytes buf payload_at (len - payload_at))
+    0 buf md5_at 16;
+  (buf, len)
 
 let to_bytes ?(digest = "") t =
-  let payload = Buffer.create 4096 in
-  add_string payload t.kernel;
-  Encode.put_varint payload t.ntiles;
-  Encode.put_varint payload (Array.length t.tiles);
-  Array.iter (add_tile payload) t.tiles;
-  let payload = Buffer.to_bytes payload in
-  let buf = Buffer.create (Bytes.length payload + 64) in
-  Buffer.add_string buf magic;
-  Encode.put_varint buf format_version;
-  add_string buf digest;
-  Buffer.add_string buf (Digest.bytes payload);
-  Buffer.add_bytes buf payload;
-  Buffer.to_bytes buf
+  let buf, len = encode ~digest t in
+  Bytes.sub buf 0 len
 
 (* Bounds-checked reader: any overrun is a [Format_error], never an
    [Invalid_argument] escaping from [Bytes]. *)
@@ -270,12 +290,12 @@ let of_bytes data =
   in
   (digest, trace)
 
-let save ?digest t path =
-  let bytes = to_bytes ?digest t in
+let save ?(digest = "") t path =
+  let buf, len = encode ~digest t in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc bytes)
+    (fun () -> output oc buf 0 len)
 
 let load_with_digest path =
   let data =

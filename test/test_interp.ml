@@ -300,54 +300,312 @@ let test_hetero_kernels () =
   Alcotest.(check string) "trace kernel names" "a"
     trace.Trace.tiles.(0).Trace.kernel
 
-(* Property: random arithmetic expressions agree with OCaml evaluation. *)
-let arb_expr =
+(* Values compared bit for bit: a NaN payload or the sign of a zero is part
+   of what the trace digest sees. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> Int64.equal x y
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> false
+
+(* Property: straight-line programs over every value-producing opcode agree
+   with a reference evaluator written here on [Value] and [Eval]. Registers
+   start as two ints, two floats and four unset ones; operands are
+   registers or immediates of either kind, and a destination may be one of
+   its own operands. Atomics work on a small memory array whose cells
+   start int-tagged, float-tagged or unset. Every register and cell is
+   compared bit for bit at the end. *)
+
+let nregs = 8
+
+let ncells = 5
+
+type straight = {
+  params : Value.t list;
+  cells : Value.t option array;
+  body : (Op.t * Instr.operand array * int) list;
+}
+
+let int_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-4) 4;
+        int_range (-100_000) 100_000;
+        oneofl [ 0; 63; 64; 65; -1; max_int; min_int ];
+        int;
+      ])
+
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-8) 8);
+        float_range (-1e3) 1e3;
+        oneofl [ 0.0; -0.0; 0.5; Float.nan; Float.infinity; Float.neg_infinity; 1e300 ];
+      ])
+
+let value_of_kind_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int (Int64.of_int i)) int_gen;
+        map (fun f -> Value.Float f) float_gen;
+      ])
+
+let all_of l = QCheck.Gen.oneofl l
+
+let ibinops =
+  Op.[ Add; Sub; Mul; Sdiv; Srem; And; Or; Xor; Shl; Lshr; Ashr ]
+
+let preds = Op.[ Eq; Ne; Lt; Le; Gt; Ge ]
+let maths1 = Op.[ Sqrt; Sin; Cos; Exp; Log; Fabs; Floor ]
+let maths2 = Op.[ Pow; Atan2 ]
+let rmws = Op.[ Rmw_add; Rmw_min; Rmw_max; Rmw_xchg ]
+
+(* [cell_base] is where the memory array will be allocated. *)
+let instr_gen ~cell_base =
   let open QCheck.Gen in
-  let leaf = map (fun n -> `Imm n) (int_range (-100) 100) in
-  let node self n =
-    if n <= 0 then leaf
-    else
-      frequency
-        [
-          (1, leaf);
-          (2, map2 (fun a b -> `Add (a, b)) (self (n / 2)) (self (n / 2)));
-          (2, map2 (fun a b -> `Sub (a, b)) (self (n / 2)) (self (n / 2)));
-          (2, map2 (fun a b -> `Mul (a, b)) (self (n / 2)) (self (n / 2)));
-          (1, map2 (fun a b -> `Min (a, b)) (self (n / 2)) (self (n / 2)));
-        ]
+  let operand =
+    frequency
+      [
+        (3, map (fun r -> Instr.Reg r) (int_bound (nregs - 1)));
+        (1, map (fun v -> Instr.Imm v) value_of_kind_gen);
+      ]
   in
-  QCheck.make (sized (fix node))
+  let ops n = array_repeat n operand in
+  let op_gen =
+    frequency
+      [
+        (4, map (fun o -> (Op.Binop o, 2)) (all_of ibinops));
+        (2, map (fun o -> (Op.Fbinop o, 2)) (all_of Op.[ Fadd; Fsub; Fmul; Fdiv ]));
+        (1, map (fun p -> (Op.Icmp p, 2)) (all_of preds));
+        (1, map (fun p -> (Op.Fcmp p, 2)) (all_of preds));
+        (1, return (Op.Select, 3));
+        (2, map (fun c -> (Op.Cast c, 1)) (all_of Op.[ Sitofp; Fptosi; Zext; Trunc ]));
+        (1, map (fun m -> (Op.Math m, 1)) (all_of maths1));
+        (1, map (fun m -> (Op.Math m, 2)) (all_of maths2));
+        (1, map (fun s -> (Op.Gep s, 2)) (all_of [ 1; 4; 8; -3 ]));
+      ]
+  in
+  let plain =
+    op_gen >>= fun (op, n) ->
+    map2 (fun args dst -> (op, args, dst)) (ops n) (int_bound (nregs - 1))
+  in
+  let atomic =
+    map3
+      (fun r (cell, v) dst ->
+        ( Op.Atomic_rmw (r, 8),
+          [| Instr.Imm (Value.of_int (cell_base + (8 * cell))); v |],
+          dst ))
+      (all_of rmws)
+      (pair (int_bound (ncells - 1)) operand)
+      (int_bound (nregs - 1))
+  in
+  frequency [ (5, plain); (1, atomic) ]
 
-(* Reference semantics in Int64, matching the IR's integer width. *)
-let rec eval_expr = function
-  | `Imm n -> Int64.of_int n
-  | `Add (a, b) -> Int64.add (eval_expr a) (eval_expr b)
-  | `Sub (a, b) -> Int64.sub (eval_expr a) (eval_expr b)
-  | `Mul (a, b) -> Int64.mul (eval_expr a) (eval_expr b)
-  | `Min (a, b) -> Stdlib.min (eval_expr a) (eval_expr b)
+let straight_gen ~cell_base =
+  QCheck.Gen.(
+    map3
+      (fun (i0, i1) (f0, f1) (cells, body) ->
+        {
+          params =
+            [
+              Value.Int (Int64.of_int i0); Value.Int (Int64.of_int i1);
+              Value.Float f0; Value.Float f1;
+            ];
+          cells;
+          body;
+        })
+      (pair int_gen int_gen) (pair float_gen float_gen)
+      (pair
+         (array_repeat ncells (opt value_of_kind_gen))
+         (list_size (1 -- 30) (instr_gen ~cell_base))))
 
-let rec build_expr b = function
-  | `Imm n -> B.imm n
-  | `Add (x, y) -> B.add b (build_expr b x) (build_expr b y)
-  | `Sub (x, y) -> B.sub b (build_expr b x) (build_expr b y)
-  | `Mul (x, y) -> B.mul b (build_expr b x) (build_expr b y)
-  | `Min (x, y) ->
-      let xv = build_expr b x and yv = build_expr b y in
-      B.select b (B.icmp b Op.Lt xv yv) xv yv
+let print_straight s =
+  String.concat "\n"
+    (List.map
+       (fun (op, args, dst) ->
+         Format.asprintf "%a" Instr.pp (Instr.make ~id:0 ~op ~args ~dst:(Some dst)))
+       s.body)
+
+(* The reference: [Value] conversions and [Eval] operators, one
+   instruction at a time. *)
+let reference ~cell_base s =
+  let regs = Array.make nregs Value.zero in
+  List.iteri (fun i v -> regs.(i) <- v) s.params;
+  let cells = Array.map (Option.value ~default:Value.zero) s.cells in
+  List.iter
+    (fun (op, args, dst) ->
+      let v k =
+        match args.(k) with
+        | Instr.Reg r -> regs.(r)
+        | Instr.Imm v -> v
+        | _ -> assert false
+      in
+      let f k = Value.to_float (v k) and i k = Value.to_int64 (v k) in
+      let result =
+        match op with
+        | Op.Binop o -> Value.Int (Eval.ibinop o (i 0) (i 1))
+        | Op.Fbinop o -> Value.Float (Eval.fbinop o (f 0) (f 1))
+        | Op.Icmp p -> Value.of_bool (Eval.pred_int p (i 0) (i 1))
+        | Op.Fcmp p -> Value.of_bool (Eval.pred_float p (f 0) (f 1))
+        | Op.Select -> if Value.to_bool (v 0) then v 1 else v 2
+        | Op.Cast c -> Eval.cast c (v 0)
+        | Op.Math m -> Value.Float (Eval.math m (Array.init (Array.length args) f))
+        | Op.Gep scale ->
+            Value.of_int (Value.to_int (v 0) + (Value.to_int (v 1) * scale))
+        | Op.Atomic_rmw (r, _) ->
+            let c = (Value.to_int (v 0) - cell_base) / 8 in
+            let old = cells.(c) in
+            cells.(c) <- Eval.rmw r old (v 1);
+            old
+        | _ -> assert false
+      in
+      regs.(dst) <- result)
+    s.body;
+  (regs, cells)
 
 let prop_expr_agrees =
-  QCheck.Test.make ~name:"interp agrees with OCaml on random expressions"
-    ~count:60 arb_expr (fun e ->
+  let cell_base, _ =
+    (* Only the layout matters here: the same allocations in a fresh
+       program land at the same addresses. *)
+    let p = Program.create () in
+    let _ = Program.alloc p "out" ~elems:nregs ~elem_size:8 in
+    let cells = Program.alloc p "cells" ~elems:ncells ~elem_size:8 in
+    (cells.Program.base, p)
+  in
+  QCheck.Test.make
+    ~name:"interp agrees with OCaml and Eval on every opcode" ~count:300
+    (QCheck.make ~print:print_straight (straight_gen ~cell_base))
+    (fun s ->
       let p = Program.create () in
-      let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
-      let _ =
-        B.define p "e" ~nparams:0 (fun b ->
-            B.store b ~addr:(B.elem b out (B.imm 0)) (build_expr b e);
-            B.ret b ())
+      let out = Program.alloc p "out" ~elems:nregs ~elem_size:8 in
+      let cells = Program.alloc p "cells" ~elems:ncells ~elem_size:8 in
+      assert (cells.Program.base = cell_base);
+      let body =
+        List.mapi
+          (fun id (op, args, dst) -> Instr.make ~id ~op ~args ~dst:(Some dst))
+          s.body
       in
-      let it = single_tile p "e" [] in
+      let n = List.length body in
+      let stores =
+        List.init nregs (fun r ->
+            Instr.make ~id:(n + r) ~op:(Op.Store 8)
+              ~args:
+                [| Instr.Imm (Value.of_int (out.Program.base + (8 * r))); Instr.Reg r |]
+              ~dst:None)
+      in
+      let ret = Instr.make ~id:(n + nregs) ~op:Op.Ret ~args:[||] ~dst:None in
+      Program.add_func p
+        (Func.make ~name:"k" ~nparams:4 ~nregs
+           ~blocks:[| { Func.bid = 0; instrs = Array.of_list (body @ stores @ [ ret ]) } |]);
+      let it = single_tile p "k" s.params in
+      Array.iteri
+        (fun c v -> Option.iter (Interp.poke_global it cells c) v)
+        s.cells;
       let _ = Interp.run it in
-      Value.to_int64 (Interp.peek_global it out 0) = eval_expr e)
+      let regs, expected_cells = reference ~cell_base s in
+      Array.iteri
+        (fun r v ->
+          if not (same_value v (Interp.peek_global it out r)) then
+            QCheck.Test.fail_reportf "r%d: expected %s, got %s" r
+              (Value.to_string v)
+              (Value.to_string (Interp.peek_global it out r)))
+        regs;
+      Array.iteri
+        (fun c v ->
+          if not (same_value v (Interp.peek_global it cells c)) then
+            QCheck.Test.fail_reportf "cell %d: expected %s, got %s" c
+              (Value.to_string v)
+              (Value.to_string (Interp.peek_global it cells c)))
+        expected_cells;
+      true)
+
+(* An operand naming no global compiles; it fails when, and only when, its
+   instruction executes, after the instructions before it have. *)
+let test_unresolved_glob () =
+  let p = Program.create () in
+  let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
+  let _ =
+    B.define p "k" ~nparams:1 (fun b ->
+        B.store b ~addr:(B.elem b out (B.imm 0)) (B.imm 7);
+        B.if_ b (B.param b 0) (fun () ->
+            B.store b ~addr:(Instr.Glob "nosuch") (B.imm 1));
+        B.ret b ())
+  in
+  let dead = single_tile p "k" [ Value.of_int 0 ] in
+  let _ = Interp.run dead in
+  checki "dead reference never fails" 7
+    (Value.to_int (Interp.peek_global dead out 0));
+  let live = single_tile p "k" [ Value.of_int 1 ] in
+  Alcotest.check_raises "live reference fails"
+    (Invalid_argument "Program.global_exn: no global nosuch") (fun () ->
+      ignore (Interp.run live));
+  checki "earlier store landed" 7 (Value.to_int (Interp.peek_global live out 0))
+
+(* Tile 1 stores, then blocks on a recv in the middle of its only block
+   while tile 0 spins through more than a quantum before sending. It
+   resumes at the recv: the store before it ran once. *)
+let test_recv_resumes_mid_block () =
+  let p = Program.create () in
+  let out = Program.alloc p "out" ~elems:2 ~elem_size:8 in
+  let _ =
+    B.define p "k" ~nparams:0 (fun b ->
+        B.if_else b
+          (B.icmp b Op.Eq B.tid (B.imm 0))
+          (fun () ->
+            B.for_ b ~from:(B.imm 0) ~to_:(B.imm 5_000) (fun _ -> ());
+            B.send b ~chan:0 ~dst:(B.imm 1) (B.imm 42))
+          (fun () ->
+            B.store b ~addr:(B.elem b out (B.imm 0)) (B.imm 1);
+            let v = B.recv b ~chan:0 in
+            B.store b ~addr:(B.elem b out (B.imm 1)) v);
+        B.ret b ())
+  in
+  let f = Program.func_exn p "k" in
+  let it = Interp.create p ~kernel:"k" ~ntiles:2 ~args:[] in
+  let trace = Interp.run it in
+  checki "value received" 42 (Value.to_int (Interp.peek_global it out 1));
+  let tt = trace.Trace.tiles.(1) in
+  let stores =
+    Array.to_list f.Func.index
+    |> List.filter_map (fun ((i : Instr.t), _) ->
+           match i.Instr.op with Op.Store _ -> Some i.Instr.id | _ -> None)
+  in
+  List.iter
+    (fun id -> checki "each store ran once" 1 (Array.length tt.Trace.mem_addrs.(id)))
+    stores;
+  checki "dyn instrs are the blocks' lengths" tt.Trace.dyn_instrs
+    (Array.fold_left
+       (fun acc bid -> acc + Array.length (Func.block f bid).Func.instrs)
+       0 tt.Trace.bb_path)
+
+(* The budget runs out in the middle of a block, on one tile and across
+   the quanta of two. *)
+let test_step_limit_mid_block () =
+  let p = Program.create () in
+  let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
+  let _ =
+    B.define p "forever" ~nparams:0 (fun b ->
+        let acc = B.var b (B.imm 0) in
+        B.while_ b ~cond:(fun () -> B.tru) (fun () ->
+            for _ = 1 to 6 do
+              B.assign b ~var:acc (B.add b acc (B.imm 1))
+            done;
+            B.store b ~addr:(B.elem b out (B.imm 0)) acc);
+        B.ret b ())
+  in
+  List.iter
+    (fun (ntiles, max_steps) ->
+      let it = Interp.create p ~kernel:"forever" ~ntiles ~args:[] in
+      match Interp.run ~max_steps it with
+      | _ -> Alcotest.fail "ran past the limit"
+      | exception Interp.Step_limit n ->
+          checki "raised at the limit" max_steps n;
+          checki "steps counted to the limit" max_steps (Interp.steps it))
+    [ (1, 1_003); (1, 10_001); (2, 25_003) ]
 
 (* The committed CLI fixture for run errors really deadlocks. *)
 let test_deadlock_fixture () =
@@ -365,15 +623,6 @@ let test_deadlock_fixture () =
       checkb "message names the recv" true (has 0)
 
 (* --- memory image --- *)
-
-(* Values compared bit for bit: a NaN payload or the sign of a zero is part
-   of what the trace digest sees. *)
-let same_value a b =
-  match (a, b) with
-  | Value.Int x, Value.Int y -> Int64.equal x y
-  | Value.Float x, Value.Float y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> false
 
 let same_contents expected actual =
   List.length expected = Array.length actual
@@ -554,11 +803,17 @@ let suite =
         Alcotest.test_case "send/recv pipeline" `Quick test_send_recv_pipeline;
         Alcotest.test_case "load_send + store_recv" `Quick test_load_send_store_recv;
         Alcotest.test_case "atomic store_recv" `Quick test_atomic_store_recv;
+        Alcotest.test_case "recv resumes mid-block" `Quick
+          test_recv_resumes_mid_block;
       ] );
     ( "interp.failures",
       [
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
         Alcotest.test_case "step limit" `Quick test_step_limit;
+        Alcotest.test_case "step limit mid-block" `Quick
+          test_step_limit_mid_block;
+        Alcotest.test_case "unresolved global fails when executed" `Quick
+          test_unresolved_glob;
         Alcotest.test_case "bad arg count" `Quick test_bad_args;
         Alcotest.test_case "single run" `Quick test_run_once;
         Alcotest.test_case "deadlock fixture" `Quick test_deadlock_fixture;

@@ -129,6 +129,34 @@ let test_int_vec () =
   Int_vec.clear v;
   check "cleared" 0 (Int_vec.length v)
 
+(* A long vector keeps full chunks aside; every view of it must still read
+   as one sequence, and stay usable after [clear]. *)
+let test_int_vec_chunks () =
+  let v = Int_vec.create ~initial_capacity:3 () in
+  let n = (3 lsl 16) + 5 in
+  for round = 1 to 2 do
+    for i = 0 to n - 1 do
+      Int_vec.push v ((i * 7) + round)
+    done;
+    check "length" n (Int_vec.length v);
+    List.iter
+      (fun i -> check "get" ((i * 7) + round) (Int_vec.get v i))
+      [ 0; 8_191; 8_192; 65_535; 65_536; 131_072; n - 1 ];
+    Alcotest.check_raises "past the end"
+      (Invalid_argument "Int_vec.get: out of bounds") (fun () ->
+        ignore (Int_vec.get v n));
+    checkb "to_array" true
+      (Int_vec.to_array v = Array.init n (fun i -> (i * 7) + round));
+    let next = ref 0 in
+    Int_vec.iter
+      (fun x ->
+        if x <> (!next * 7) + round then Alcotest.failf "iter at %d" !next;
+        incr next)
+      v;
+    check "iter count" n !next;
+    Int_vec.clear v
+  done
+
 (* --- Int_table --- *)
 
 let test_int_table_basic () =
@@ -370,7 +398,11 @@ let suite =
         Alcotest.test_case "speedup/ratio" `Quick test_stats_speedup;
         QCheck_alcotest.to_alcotest prop_percentile_within_range;
       ] );
-    ("util.int_vec", [ Alcotest.test_case "push/get/clear" `Quick test_int_vec ]);
+    ( "util.int_vec",
+      [
+        Alcotest.test_case "push/get/clear" `Quick test_int_vec;
+        Alcotest.test_case "chunked growth" `Quick test_int_vec_chunks;
+      ] );
     ( "util.int_table",
       [
         Alcotest.test_case "set/find/add/remove" `Quick test_int_table_basic;
