@@ -1,7 +1,7 @@
 (* Every function the interpreter's compiled instructions call is
-   [@inline]: with cross-module inlining on, an opcode fixed at compile
-   time folds its [match] away and the [int64]/[float] operands and results
-   stay unboxed. *)
+   [@inline]: with cross-module inlining on, it is inlined into the
+   instruction's closure, and the [int64]/[float] operands and results stay
+   unboxed. *)
 
 let[@inline] ibinop op x y =
   let open Int64 in

@@ -1,18 +1,5 @@
 (* Varint plumbing (LEB128) with zig-zag for signed deltas. *)
 
-let put_varint buf v =
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
 (* [2v] for [v >= 0], [-2v - 1] otherwise, without a branch. *)
 let[@inline] zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 

@@ -15,23 +15,18 @@
     {!Trace.save}/{!Trace.load}; the compressed-footprint accounting is
     {!Trace.compressed_bytes}. *)
 
-(** {1 Varint primitives}
+(** {1 Varint primitives and the byte sink}
 
-    LEB128 varints plus zig-zag folding for signed deltas, exposed so the
-    trace container ({!Trace}) and the cache digest ({!Store}) frame their
-    records with the same plumbing. Only non-negative values are written at
-    existing call sites; [zigzag] maps a signed value to a non-negative one
-    first. *)
+    LEB128 varints plus zig-zag folding for signed deltas. Only
+    non-negative values are written as varints at existing call sites;
+    [zigzag] maps a signed value to a non-negative one first.
 
-val put_varint : Buffer.t -> int -> unit
+    A sink is a growable byte buffer written in place. The stream encoders,
+    the trace container ({!Trace.to_bytes}) and the cache digest
+    ({!Store.workload_digest}) fill one each, in one pass. *)
 
 val zigzag : int -> int
 val unzigzag : int -> int
-
-(** {1 Byte sink}
-
-    A growable byte buffer written in place, which the stream encoders and
-    the trace container ({!Trace.to_bytes}) fill in one pass. *)
 
 type sink
 

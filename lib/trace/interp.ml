@@ -408,8 +408,8 @@ let goto ts bid blk =
   end
   else true
 
-(* Two-operand instructions, inlined into closures that fix [op]: the
-   [Eval] function's [match] folds away and nothing is boxed. *)
+(* Two-operand instructions, inlined into their closures together with
+   the [Eval] function they call, so operands and result stay unboxed. *)
 
 let[@inline] ibinop op regs a pa b pb d dp =
   set_i64 regs d dp (Eval.ibinop op (get_i64 regs a pa) (get_i64 regs b pb))
@@ -437,60 +437,33 @@ let instr t ts regs ~ops ~pays ~d ~dp ~k ~target (i : Instr.t) =
   let mem_accs () = ts.mem_accs.(i.Instr.id) in
   let send_accs () = ts.send_accs.(i.Instr.id) in
   match i.Instr.op with
-  | Op.Binop op -> (
+  | Op.Binop op ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
-      match op with
-      | Op.Add -> fun () -> ibinop Op.Add regs a pa b pb d dp; k ()
-      | Op.Sub -> fun () -> ibinop Op.Sub regs a pa b pb d dp; k ()
-      | Op.Mul -> fun () -> ibinop Op.Mul regs a pa b pb d dp; k ()
-      | Op.Sdiv -> fun () -> ibinop Op.Sdiv regs a pa b pb d dp; k ()
-      | Op.Srem -> fun () -> ibinop Op.Srem regs a pa b pb d dp; k ()
-      | Op.And -> fun () -> ibinop Op.And regs a pa b pb d dp; k ()
-      | Op.Or -> fun () -> ibinop Op.Or regs a pa b pb d dp; k ()
-      | Op.Xor -> fun () -> ibinop Op.Xor regs a pa b pb d dp; k ()
-      | Op.Shl -> fun () -> ibinop Op.Shl regs a pa b pb d dp; k ()
-      | Op.Lshr -> fun () -> ibinop Op.Lshr regs a pa b pb d dp; k ()
-      | Op.Ashr -> fun () -> ibinop Op.Ashr regs a pa b pb d dp; k ())
-  | Op.Fbinop op -> (
+      fun () ->
+        ibinop op regs a pa b pb d dp;
+        k ()
+  | Op.Fbinop op ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
-      match op with
-      | Op.Fadd -> fun () -> fbinop Op.Fadd regs a pa b pb d dp; k ()
-      | Op.Fsub -> fun () -> fbinop Op.Fsub regs a pa b pb d dp; k ()
-      | Op.Fmul -> fun () -> fbinop Op.Fmul regs a pa b pb d dp; k ()
-      | Op.Fdiv -> fun () -> fbinop Op.Fdiv regs a pa b pb d dp; k ())
-  | Op.Icmp pred -> (
+      fun () ->
+        fbinop op regs a pa b pb d dp;
+        k ()
+  | Op.Icmp pred ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
-      match pred with
-      | Op.Eq -> fun () -> icmp Op.Eq regs a pa b pb d dp; k ()
-      | Op.Ne -> fun () -> icmp Op.Ne regs a pa b pb d dp; k ()
-      | Op.Lt -> fun () -> icmp Op.Lt regs a pa b pb d dp; k ()
-      | Op.Le -> fun () -> icmp Op.Le regs a pa b pb d dp; k ()
-      | Op.Gt -> fun () -> icmp Op.Gt regs a pa b pb d dp; k ()
-      | Op.Ge -> fun () -> icmp Op.Ge regs a pa b pb d dp; k ())
-  | Op.Fcmp pred -> (
+      fun () ->
+        icmp pred regs a pa b pb d dp;
+        k ()
+  | Op.Fcmp pred ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
-      match pred with
-      | Op.Eq -> fun () -> fcmp Op.Eq regs a pa b pb d dp; k ()
-      | Op.Ne -> fun () -> fcmp Op.Ne regs a pa b pb d dp; k ()
-      | Op.Lt -> fun () -> fcmp Op.Lt regs a pa b pb d dp; k ()
-      | Op.Le -> fun () -> fcmp Op.Le regs a pa b pb d dp; k ()
-      | Op.Gt -> fun () -> fcmp Op.Gt regs a pa b pb d dp; k ()
-      | Op.Ge -> fun () -> fcmp Op.Ge regs a pa b pb d dp; k ())
-  | Op.Select -> (
-      let a = ops.(1) and pa = pays.(1) and b = ops.(2) and pb = pays.(2) in
-      match i.Instr.args.(0) with
-      | Instr.Imm v ->
-          (* A copy, as the builder writes an assignment. *)
-          let a, pa = if Value.to_bool v then (a, pa) else (b, pb) in
-          fun () ->
-            copy regs a pa regs d dp;
-            k ()
-      | _ ->
+      fun () ->
+        fcmp pred regs a pa b pb d dp;
+        k ()
+  | Op.Select ->
       let c = ops.(0) and pc = pays.(0) in
+      let a = ops.(1) and pa = pays.(1) and b = ops.(2) and pb = pays.(2) in
       fun () ->
         if get_bool regs c pc then copy regs a pa regs d dp
         else copy regs b pb regs d dp;
-        k ())
+        k ()
   | Op.Cast c -> (
       let a = ops.(0) and pa = pays.(0) in
       match c with
@@ -615,17 +588,11 @@ let instr t ts regs ~ops ~pays ~d ~dp ~k ~target (i : Instr.t) =
   | Op.Br bid ->
       let blk = target bid in
       fun () -> goto ts bid blk
-  | Op.Cond_br (taken, not_taken) -> (
-      match i.Instr.args.(0) with
-      | Instr.Imm v ->
-          let bid = if Value.to_bool v then taken else not_taken in
-          let blk = target bid in
-          fun () -> goto ts bid blk
-      | _ ->
-          let c = ops.(0) and pc = pays.(0) in
-          let t = target taken and n = target not_taken in
-          fun () ->
-            if get_bool regs c pc then goto ts taken t else goto ts not_taken n)
+  | Op.Cond_br (taken, not_taken) ->
+      let c = ops.(0) and pc = pays.(0) in
+      let t = target taken and n = target not_taken in
+      fun () ->
+        if get_bool regs c pc then goto ts taken t else goto ts not_taken n
   | Op.Ret ->
       fun () ->
         ts.status <- Finished;

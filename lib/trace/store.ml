@@ -23,37 +23,39 @@ module Value = Mosaic_ir.Value
    interpreter's observable semantics change. *)
 let semantics_version = "mosaicsim-trace-v1"
 
-let add_value buf v =
+let add_value sink v =
   match v with
   | Value.Int i ->
-      Buffer.add_char buf 'i';
-      Buffer.add_int64_le buf i
+      Encode.add_char sink 'i';
+      Encode.add_int64_le sink i
   | Value.Float f ->
-      Buffer.add_char buf 'f';
-      Buffer.add_int64_le buf (Int64.bits_of_float f)
+      Encode.add_char sink 'f';
+      Encode.add_int64_le sink (Int64.bits_of_float f)
 
 let workload_digest ~program ~label ~tiles ~mem =
-  let b = Buffer.create (4096 + (17 * Array.length mem)) in
-  Buffer.add_string b semantics_version;
-  Buffer.add_char b '\n';
-  Buffer.add_string b (Format.asprintf "%a" Mosaic_ir.Pretty.pp_program program);
-  Buffer.add_char b '\000';
-  Buffer.add_string b label;
-  Buffer.add_char b '\000';
-  Encode.put_varint b (Array.length tiles);
+  let b = Encode.sink (4096 + (17 * Array.length mem)) in
+  Encode.add_string b semantics_version;
+  Encode.add_char b '\n';
+  Encode.add_string b
+    (Format.asprintf "%a" Mosaic_ir.Pretty.pp_program program);
+  Encode.add_char b '\000';
+  Encode.add_string b label;
+  Encode.add_char b '\000';
+  Encode.add_varint b (Array.length tiles);
   Array.iter
     (fun (kernel, args) ->
-      Buffer.add_string b kernel;
-      Buffer.add_char b '\000';
-      Encode.put_varint b (List.length args);
+      Encode.add_string b kernel;
+      Encode.add_char b '\000';
+      Encode.add_varint b (List.length args);
       List.iter (add_value b) args)
     tiles;
   Array.iter
     (fun (addr, v) ->
-      Buffer.add_int64_le b (Int64.of_int addr);
+      Encode.add_int64_le b (Int64.of_int addr);
       add_value b v)
     mem;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Digest.to_hex
+    (Digest.subbytes (Encode.sink_buffer b) 0 (Encode.sink_length b))
 
 (* ---- cache directory resolution ---- *)
 

@@ -167,11 +167,9 @@ let encode ~digest t =
   Bytes.blit_string
     (Digest.subbytes buf payload_at (len - payload_at))
     0 buf md5_at 16;
-  (buf, len)
+  sink
 
-let to_bytes ?(digest = "") t =
-  let buf, len = encode ~digest t in
-  Bytes.sub buf 0 len
+let to_bytes ?(digest = "") t = Encode.sink_contents (encode ~digest t)
 
 (* Bounds-checked reader: any overrun is a [Format_error], never an
    [Invalid_argument] escaping from [Bytes]. *)
@@ -291,11 +289,12 @@ let of_bytes data =
   (digest, trace)
 
 let save ?(digest = "") t path =
-  let buf, len = encode ~digest t in
+  let sink = encode ~digest t in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output oc buf 0 len)
+    (fun () ->
+      output oc (Encode.sink_buffer sink) 0 (Encode.sink_length sink))
 
 let load_with_digest path =
   let data =
