@@ -408,25 +408,6 @@ let goto ts bid blk =
   end
   else true
 
-(* Two-operand instructions, inlined into their closures together with
-   the [Eval] function they call, so operands and result stay unboxed. *)
-
-let[@inline] ibinop op regs a pa b pb d dp =
-  set_i64 regs d dp (Eval.ibinop op (get_i64 regs a pa) (get_i64 regs b pb))
-
-let[@inline] fbinop op regs a pa b pb d dp =
-  set_float regs d dp (Eval.fbinop op (get_float regs a pa) (get_float regs b pb))
-
-let[@inline] icmp pred regs a pa b pb d dp =
-  set_i64 regs d dp
-    (if Eval.pred_int pred (get_i64 regs a pa) (get_i64 regs b pb) then 1L
-     else 0L)
-
-let[@inline] fcmp pred regs a pa b pb d dp =
-  set_i64 regs d dp
-    (if Eval.pred_float pred (get_float regs a pa) (get_float regs b pb) then 1L
-     else 0L)
-
 (* The closure for instruction [i]: it does the instruction's work and
    then tail-calls [k], or, for a terminator, moves the tile to its next
    block. Each operand [j] is the register-file slot [ops.(j)] (payload at
@@ -440,22 +421,30 @@ let instr t ts regs ~ops ~pays ~d ~dp ~k ~target (i : Instr.t) =
   | Op.Binop op ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
       fun () ->
-        ibinop op regs a pa b pb d dp;
+        set_i64 regs d dp
+          (Eval.ibinop op (get_i64 regs a pa) (get_i64 regs b pb));
         k ()
   | Op.Fbinop op ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
       fun () ->
-        fbinop op regs a pa b pb d dp;
+        set_float regs d dp
+          (Eval.fbinop op (get_float regs a pa) (get_float regs b pb));
         k ()
   | Op.Icmp pred ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
       fun () ->
-        icmp pred regs a pa b pb d dp;
+        set_i64 regs d dp
+          (if Eval.pred_int pred (get_i64 regs a pa) (get_i64 regs b pb)
+           then 1L
+           else 0L);
         k ()
   | Op.Fcmp pred ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
       fun () ->
-        fcmp pred regs a pa b pb d dp;
+        set_i64 regs d dp
+          (if Eval.pred_float pred (get_float regs a pa) (get_float regs b pb)
+           then 1L
+           else 0L);
         k ()
   | Op.Select ->
       let c = ops.(0) and pc = pays.(0) in
