@@ -34,7 +34,7 @@ let[@inline] pred_int pred x y =
   | Op.Gt -> Int64.compare x y > 0
   | Op.Ge -> Int64.compare x y >= 0
 
-let[@inline] pred_float pred x y =
+let[@inline] pred_float pred (x : float) (y : float) =
   match pred with
   | Op.Eq -> x = y
   | Op.Ne -> x <> y

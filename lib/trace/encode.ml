@@ -28,7 +28,8 @@ let grow s need =
   Bytes.blit s.buf 0 buf 0 s.len;
   s.buf <- buf
 
-let[@inline] reserve s need = if s.len + need > Bytes.length s.buf then grow s need
+let[@inline] reserve s need =
+  if s.len + need > Bytes.length s.buf then grow s need
 
 (* [v] as a varint at [p] in [buf], which has room for its 10 bytes;
    returns the position after it. *)
@@ -103,6 +104,10 @@ let period_of_bit =
   done;
   t
 
+(* Bit [p] set when the symbol [p] back from [here] is [x]. *)
+let[@inline] repeats (path : int array) here (x : int) p =
+  Bool.to_int (Array.unsafe_get path (here - p) = x) lsl p
+
 (* The stream encoders write a batch of entries at a time into room
    reserved for the batch's longest encoding, so their inner loops call
    nothing: a call would make the compiler keep the loop's state on the
@@ -127,15 +132,15 @@ let add_control s path =
          unrolled form assumes max_period = 8): often none, and then this
          is a literal without a scan. *)
       let candidates =
-        if here >= max_period then begin
-          let hit p = Bool.to_int (Array.unsafe_get path (here - p) = x) lsl p in
-          hit 1 lor hit 2 lor hit 3 lor hit 4 lor hit 5 lor hit 6 lor hit 7
-          lor hit 8
-        end
+        if here >= max_period then
+          repeats path here x 1 lor repeats path here x 2
+          lor repeats path here x 3 lor repeats path here x 4
+          lor repeats path here x 5 lor repeats path here x 6
+          lor repeats path here x 7 lor repeats path here x 8
         else begin
           let c = ref 0 in
           for p = 1 to here do
-            c := !c lor (Bool.to_int (Array.unsafe_get path (here - p) = x) lsl p)
+            c := !c lor repeats path here x p
           done;
           !c
         end

@@ -142,7 +142,8 @@ let[@inline] copy src ss sp dst ds dp =
 
 let get_value regs s p =
   let b = get64u regs p in
-  if Bytes.unsafe_get regs s == tag_float then Value.Float (Int64.float_of_bits b)
+  if Bytes.unsafe_get regs s == tag_float then
+    Value.Float (Int64.float_of_bits b)
   else Value.Int b
 
 let set_value regs s p = function
@@ -165,6 +166,7 @@ type block = {
   mutable len : int;
 }
 
+(* A length no fuel covers, and that a step count can be added to. *)
 let no_whole = max_int / 2
 
 let fell_off () = invalid_arg "index out of bounds"
@@ -317,7 +319,8 @@ let atomic t r addr regs ~vs ~vp ~ds ~dp =
     | _ when tag == tag_float ->
         set_float page i (payload i)
           (Eval.rmw_float r (Int64.float_of_bits old) (get_float regs vs vp))
-    | _ -> set_i64 page i (payload i) (Eval.rmw_int r old (get_i64 regs vs vp)));
+    | _ ->
+        set_i64 page i (payload i) (Eval.rmw_int r old (get_i64 regs vs vp)));
     Bytes.unsafe_set regs ds (if tag == unset then tag_int else tag);
     set64u regs dp old
   end
@@ -491,8 +494,8 @@ let instr t ts regs ~ops ~pays ~d ~dp ~k ~target (i : Instr.t) =
   | Op.Gep scale ->
       let a = ops.(0) and pa = pays.(0) and b = ops.(1) and pb = pays.(1) in
       fun () ->
-        set_i64 regs d dp
-          (Int64.of_int (Eval.gep scale (get_int regs a pa) (get_int regs b pb)));
+        let base = get_int regs a pa and idx = get_int regs b pb in
+        set_i64 regs d dp (Int64.of_int (Eval.gep scale base idx));
         k ()
   | Op.Load _ ->
       let a = ops.(0) and pa = pays.(0) and accs = mem_accs () in
@@ -625,7 +628,8 @@ let compile t ts =
   in
   let nblocks = Array.length f.Func.blocks in
   ts.code <-
-    Array.init nblocks (fun _ -> { steps = [||]; whole = fell_off; len = no_whole });
+    Array.init nblocks (fun _ ->
+        { steps = [||]; whole = fell_off; len = no_whole });
   let target bid =
     if bid >= 0 && bid < nblocks then ts.code.(bid) else missing_block ts bid
   in

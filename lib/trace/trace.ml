@@ -139,13 +139,17 @@ let add_tile sink tt =
 let size_hint t =
   Array.fold_left
     (fun acc tt ->
-      let streams a = Array.fold_left (fun n s -> n + 8 + (2 * Array.length s)) 0 a in
+      let streams =
+        Array.fold_left (fun n s -> n + 8 + (2 * Array.length s)) 0
+      in
       acc + 64
       + (2 * Array.length tt.bb_path)
       + streams tt.mem_addrs + streams tt.send_dsts
       + Array.fold_left
           (fun n inv ->
-            Array.fold_left (fun n ps -> n + 8 + (9 * Array.length ps)) (n + 8) inv)
+            Array.fold_left
+              (fun n ps -> n + 8 + (9 * Array.length ps))
+              (n + 8) inv)
           0 tt.accel_params)
     4096 t.tiles
 

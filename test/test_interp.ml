@@ -343,7 +343,8 @@ let float_gen =
       [
         map float_of_int (int_range (-8) 8);
         float_range (-1e3) 1e3;
-        oneofl [ 0.0; -0.0; 0.5; Float.nan; Float.infinity; Float.neg_infinity; 1e300 ];
+        oneofl
+          [ 0.0; -0.0; 0.5; Float.nan; Float.infinity; Float.neg_infinity; 1e300 ];
       ])
 
 let value_of_kind_gen =
@@ -359,7 +360,9 @@ let all_of l = QCheck.Gen.oneofl l
 let ibinops =
   Op.[ Add; Sub; Mul; Sdiv; Srem; And; Or; Xor; Shl; Lshr; Ashr ]
 
+let fbinops = Op.[ Fadd; Fsub; Fmul; Fdiv ]
 let preds = Op.[ Eq; Ne; Lt; Le; Gt; Ge ]
+let casts = Op.[ Sitofp; Fptosi; Zext; Trunc ]
 let maths1 = Op.[ Sqrt; Sin; Cos; Exp; Log; Fabs; Floor ]
 let maths2 = Op.[ Pow; Atan2 ]
 let rmws = Op.[ Rmw_add; Rmw_min; Rmw_max; Rmw_xchg ]
@@ -379,11 +382,11 @@ let instr_gen ~cell_base =
     frequency
       [
         (4, map (fun o -> (Op.Binop o, 2)) (all_of ibinops));
-        (2, map (fun o -> (Op.Fbinop o, 2)) (all_of Op.[ Fadd; Fsub; Fmul; Fdiv ]));
+        (2, map (fun o -> (Op.Fbinop o, 2)) (all_of fbinops));
         (1, map (fun p -> (Op.Icmp p, 2)) (all_of preds));
         (1, map (fun p -> (Op.Fcmp p, 2)) (all_of preds));
         (1, return (Op.Select, 3));
-        (2, map (fun c -> (Op.Cast c, 1)) (all_of Op.[ Sitofp; Fptosi; Zext; Trunc ]));
+        (2, map (fun c -> (Op.Cast c, 1)) (all_of casts));
         (1, map (fun m -> (Op.Math m, 1)) (all_of maths1));
         (1, map (fun m -> (Op.Math m, 2)) (all_of maths2));
         (1, map (fun s -> (Op.Gep s, 2)) (all_of [ 1; 4; 8; -3 ]));
@@ -427,7 +430,8 @@ let print_straight s =
   String.concat "\n"
     (List.map
        (fun (op, args, dst) ->
-         Format.asprintf "%a" Instr.pp (Instr.make ~id:0 ~op ~args ~dst:(Some dst)))
+         Format.asprintf "%a" Instr.pp
+           (Instr.make ~id:0 ~op ~args ~dst:(Some dst)))
        s.body)
 
 (* The reference: [Value] conversions and [Eval] operators, one
@@ -453,7 +457,8 @@ let reference ~cell_base s =
         | Op.Fcmp p -> Value.of_bool (Eval.pred_float p (f 0) (f 1))
         | Op.Select -> if Value.to_bool (v 0) then v 1 else v 2
         | Op.Cast c -> Eval.cast c (v 0)
-        | Op.Math m -> Value.Float (Eval.math m (Array.init (Array.length args) f))
+        | Op.Math m ->
+            Value.Float (Eval.math m (Array.init (Array.length args) f))
         | Op.Gep scale ->
             Value.of_int (Value.to_int (v 0) + (Value.to_int (v 1) * scale))
         | Op.Atomic_rmw (r, _) ->
@@ -494,13 +499,17 @@ let prop_expr_agrees =
         List.init nregs (fun r ->
             Instr.make ~id:(n + r) ~op:(Op.Store 8)
               ~args:
-                [| Instr.Imm (Value.of_int (out.Program.base + (8 * r))); Instr.Reg r |]
+                [|
+                  Instr.Imm (Value.of_int (out.Program.base + (8 * r)));
+                  Instr.Reg r;
+                |]
               ~dst:None)
       in
       let ret = Instr.make ~id:(n + nregs) ~op:Op.Ret ~args:[||] ~dst:None in
+      let instrs = Array.of_list (body @ stores @ [ ret ]) in
       Program.add_func p
         (Func.make ~name:"k" ~nparams:4 ~nregs
-           ~blocks:[| { Func.bid = 0; instrs = Array.of_list (body @ stores @ [ ret ]) } |]);
+           ~blocks:[| { Func.bid = 0; instrs } |]);
       let it = single_tile p "k" s.params in
       Array.iteri
         (fun c v -> Option.iter (Interp.poke_global it cells c) v)
@@ -575,7 +584,8 @@ let test_recv_resumes_mid_block () =
            match i.Instr.op with Op.Store _ -> Some i.Instr.id | _ -> None)
   in
   List.iter
-    (fun id -> checki "each store ran once" 1 (Array.length tt.Trace.mem_addrs.(id)))
+    (fun id ->
+      checki "each store ran once" 1 (Array.length tt.Trace.mem_addrs.(id)))
     stores;
   checki "dyn instrs are the blocks' lengths" tt.Trace.dyn_instrs
     (Array.fold_left

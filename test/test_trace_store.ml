@@ -397,7 +397,9 @@ let test_gc_lru_pruning () =
    a tile count or a heterogeneous tile assignment. *)
 let pinned_workloads () =
   let homog name ntiles =
-    (Printf.sprintf "%s %d" name ntiles, W.Registry.instance name, `Homog ntiles)
+    ( Printf.sprintf "%s %d" name ntiles,
+      W.Registry.instance name,
+      `Homog ntiles )
   in
   let dae =
     let inst, _ =
@@ -465,7 +467,8 @@ let trace_lines () =
       Mosaic_accel.Accel_kinds.register_functional it;
       inst.W.Runner.setup it;
       let trace = Interp.run it in
-      if not (inst.W.Runner.check it) then Alcotest.failf "%s: wrong answer" label;
+      if not (inst.W.Runner.check it) then
+        Alcotest.failf "%s: wrong answer" label;
       Printf.sprintf "%s %s %s %d" label
         (Digest.to_hex (Digest.bytes (Trace.to_bytes ~digest:"" trace)))
         (memory_md5 (Interp.memory_contents it))
