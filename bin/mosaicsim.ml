@@ -23,6 +23,10 @@ let input_error bench msg =
   Printf.eprintf "%s: error: %s\n%!" bench msg;
   exit 1
 
+(* An output file that cannot be written (a missing directory, say) is
+   reported the same way. *)
+let writing bench f = try f () with Sys_error msg -> input_error bench msg
+
 (* BENCH is either a registry name or a `.mir` workload file. Parse
    failures print located caret diagnostics, not a backtrace. *)
 let resolve_instance bench =
@@ -58,23 +62,31 @@ let tiles_arg =
   let doc = "Number of SPMD tiles." in
   Arg.(value & opt positive_int 1 & info [ "tiles"; "t" ] ~docv:"N" ~doc)
 
+(* Core models and system presets by name. The options are cmdliner
+   enums, so an unknown name is a usage error (exit 124) that lists the
+   valid ones; the commands keep the name for their titles. *)
+let core_models =
+  [ ("ooo", Tile_config.out_of_order); ("ino", Tile_config.in_order) ]
+
+let systems = [ ("xeon", Presets.xeon_soc); ("dae", Presets.dae_soc) ]
+let name_enum table = Arg.enum (List.map (fun (n, _) -> (n, n)) table)
+
 let core_arg =
   let doc = "Core model: ooo or ino." in
-  Arg.(value & opt string "ooo" & info [ "core"; "c" ] ~docv:"CORE" ~doc)
+  Arg.(
+    value
+    & opt (name_enum core_models) "ooo"
+    & info [ "core"; "c" ] ~docv:"CORE" ~doc)
 
 let system_arg =
   let doc = "System preset: xeon (Table I) or dae (Table II)." in
-  Arg.(value & opt string "xeon" & info [ "system"; "s" ] ~docv:"SYS" ~doc)
+  Arg.(
+    value
+    & opt (name_enum systems) "xeon"
+    & info [ "system"; "s" ] ~docv:"SYS" ~doc)
 
-let core_of_string = function
-  | "ooo" -> Tile_config.out_of_order
-  | "ino" -> Tile_config.in_order
-  | s -> failwith (Printf.sprintf "unknown core model %s (ooo|ino)" s)
-
-let system_of_string = function
-  | "xeon" -> Presets.xeon_soc
-  | "dae" -> Presets.dae_soc
-  | s -> failwith (Printf.sprintf "unknown system preset %s (xeon|dae)" s)
+let core_of_string core = List.assoc core core_models
+let system_of_string system = List.assoc system systems
 
 let jobs_arg =
   let doc =
@@ -201,7 +213,9 @@ let sink_for trace_out =
   | None -> Mosaic_obs.Sink.null
   | Some _ -> Mosaic_obs.Sink.create ()
 
-let write_observability ~trace_out ~metrics_out ~sink (r : Soc.result) =
+let write_observability ~bench ~trace_out ~metrics_out ~sink
+    (r : Soc.result) =
+  writing bench @@ fun () ->
   Option.iter
     (fun file ->
       (* When host telemetry is on (--manifest), the simulator's own spans
@@ -342,7 +356,7 @@ let write_manifest ~kind ~name ?digests ~metrics = function
   | None -> ()
   | Some file ->
       let m = Mosaic.Telemetry.manifest ~kind ~name ?digests ~metrics () in
-      Mosaic_obs.Manifest.write file m;
+      writing name (fun () -> Mosaic_obs.Manifest.write file m);
       Printf.printf "manifest: %s\n" file
 
 let run_cmd =
@@ -386,7 +400,7 @@ let run_cmd =
     in
     print_result bench r;
     print_sample_report r;
-    write_observability ~trace_out ~metrics_out ~sink r;
+    write_observability ~bench ~trace_out ~metrics_out ~sink r;
     let digests =
       let tiles =
         Array.map
@@ -564,11 +578,12 @@ let profile_cmd =
               (Mosaic_obs.Trace_export.stalls_to_json events)
           else Mosaic_obs.Trace_export.stalls_to_csv events
         in
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc data);
+        writing bench (fun () ->
+            Out_channel.with_open_text file (fun oc ->
+                Out_channel.output_string oc data));
         Printf.printf "stalls: %s\n" file)
       out;
-    write_observability ~trace_out ~metrics_out ~sink r
+    write_observability ~bench ~trace_out ~metrics_out ~sink r
   in
   Cmd.v
     (Cmd.info "profile"

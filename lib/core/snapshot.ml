@@ -43,8 +43,10 @@ exception Format_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
 
 let magic = "MSNP"
-(* 2: tile state as a slot-ring window dump, FIFO-stamped int heaps. *)
-let format_version = 2
+(* 2: tile state as a slot-ring window dump, FIFO-stamped int heaps.
+   3: caches as a pool of ways created on first use (per-set base and
+   count, dirty bits as bytes). *)
+let format_version = 3
 
 let to_bytes s =
   let payload = Marshal.to_bytes s [] in

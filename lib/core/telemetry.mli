@@ -8,7 +8,7 @@
 
 val versions : unit -> (string * string) list
 (** [semantics], [trace_format] (["MSTR v1"]), [snapshot_format]
-    (["MSNP v2"]). *)
+    (["MSNP v3"]). *)
 
 val config_digest : Soc.config -> tiles:Soc.tile_spec array -> string
 (** Hex MD5 of the structural (Marshal, no-sharing) image of the design

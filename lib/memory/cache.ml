@@ -47,13 +47,29 @@ let fresh_stats () =
 module Int_table = Mosaic_util.Int_table
 module Int_heap = Mosaic_util.Int_heap
 
+(* Way state lives in one pool shared by all sets, grown on demand: a
+   set's ways are created when a fill or warm first needs one, so a run
+   allocates in proportion to the lines it touches, not to the cache's
+   capacity (a 20 MB LLC is 327 680 ways). Set [s] holds [set_ways.(s)]
+   ways at pool indices [set_base.(s)] onward, inside a reservation of
+   [reserved t set_ways.(s)] slots; a set that outgrows its reservation
+   moves to a doubled one at the end of the pool.
+
+   Which way a line sits in cannot be observed, so this is exact against a
+   dense array of [nsets * assoc] ways: a set with an invalid way, created
+   or not, fills one without evicting, and once all [assoc] ways are valid
+   their LRU stamps are distinct [clock] values, so the victim is the same
+   line whatever order the ways are in. *)
 type t = {
   cname : string;
   cfg : config;
   nsets : int;
-  tags : int array;  (** [set * assoc + way]; -1 = invalid *)
-  dirty : bool array;
-  lru : int array;  (** higher = more recent *)
+  set_base : int array;  (** pool index of the set's first way *)
+  set_ways : int array;  (** ways created, 0 .. assoc *)
+  mutable tags : int array;  (** pool; -1 = invalid *)
+  mutable dirty : Bytes.t;  (** pool; '\001' = dirty *)
+  mutable lru : int array;  (** pool; higher = more recent *)
+  mutable used : int;  (** pool slots handed out to reservations *)
   mutable clock : int;
   mshr : Int_table.t;  (** line address -> ready cycle *)
   mshr_expiry : Int_heap.t;
@@ -69,13 +85,17 @@ type t = {
 let create ~name cfg =
   let cfg = validate_config cfg in
   let nsets = cfg.size_bytes / (cfg.line_size * cfg.assoc) in
+  let pool = Stdlib.min (nsets * cfg.assoc) 256 in
   {
     cname = name;
     cfg;
     nsets;
-    tags = Array.make (nsets * cfg.assoc) (-1);
-    dirty = Array.make (nsets * cfg.assoc) false;
-    lru = Array.make (nsets * cfg.assoc) 0;
+    set_base = Array.make nsets 0;
+    set_ways = Array.make nsets 0;
+    tags = Array.make pool (-1);
+    dirty = Bytes.make pool '\000';
+    lru = Array.make pool 0;
+    used = 0;
     clock = 0;
     mshr = Int_table.create ~initial_capacity:(2 * cfg.mshr_size) ();
     mshr_expiry = Int_heap.create ();
@@ -98,17 +118,80 @@ let set_of t line = line mod t.nsets
    a local recursive scan cost two small allocations per call). *)
 let find_way t line =
   let set = set_of t line in
-  let base = set * t.cfg.assoc in
-  let way = ref 0 in
-  let res = ref (-1) in
-  while !res < 0 && !way < t.cfg.assoc do
-    if t.tags.(base + !way) = line then res := base + !way else incr way
+  let slot = ref t.set_base.(set) in
+  let stop = !slot + t.set_ways.(set) in
+  while !slot < stop && t.tags.(!slot) <> line do
+    incr slot
   done;
-  !res
+  if !slot < stop then !slot else -1
+
+let is_dirty t slot = Bytes.get t.dirty slot <> '\000'
+let set_dirty t slot d = Bytes.set t.dirty slot (if d then '\001' else '\000')
+
+(* Pool slots reserved for a set holding [n] ways: the next power of two,
+   capped at the associativity. *)
+let reserved t n =
+  if n = 0 then 0
+  else begin
+    let r = ref 1 in
+    while !r < n do
+      r := !r * 2
+    done;
+    Stdlib.min !r t.cfg.assoc
+  end
+
+(* Move [set]'s ways to a fresh reservation of [cap] slots at the end of
+   the pool, doubling the pool when it is full. The old reservation is
+   left unused. *)
+let relocate t set cap =
+  let len = Array.length t.tags in
+  if t.used + cap > len then begin
+    let len' = Stdlib.max (2 * len) (t.used + cap) in
+    let tags = Array.make len' (-1) and lru = Array.make len' 0 in
+    let dirty = Bytes.make len' '\000' in
+    Array.blit t.tags 0 tags 0 t.used;
+    Array.blit t.lru 0 lru 0 t.used;
+    Bytes.blit t.dirty 0 dirty 0 t.used;
+    t.tags <- tags;
+    t.lru <- lru;
+    t.dirty <- dirty
+  end;
+  let base = t.set_base.(set) and n = t.set_ways.(set) in
+  Array.blit t.tags base t.tags t.used n;
+  Array.blit t.lru base t.lru t.used n;
+  Bytes.blit t.dirty base t.dirty t.used n;
+  t.set_base.(set) <- t.used;
+  t.used <- t.used + cap
+
+(* The slot a miss on a line of [set] fills: an invalid way if the set has
+   one, created or not (a way not yet created is made here), else the
+   least recently used way. *)
+let victim t set =
+  let base = t.set_base.(set) and n = t.set_ways.(set) in
+  let invalid = ref (-1) and oldest = ref base in
+  let slot = ref base in
+  while !invalid < 0 && !slot < base + n do
+    if t.tags.(!slot) = -1 then invalid := !slot
+    else if t.lru.(!slot) < t.lru.(!oldest) then oldest := !slot;
+    incr slot
+  done;
+  if !invalid >= 0 then !invalid
+  else if n < t.cfg.assoc then begin
+    if n = reserved t n then relocate t set (reserved t (n + 1));
+    t.set_ways.(set) <- n + 1;
+    t.set_base.(set) + n
+  end
+  else !oldest
 
 let touch t slot =
   t.clock <- t.clock + 1;
   t.lru.(slot) <- t.clock
+
+(* Put [line] in [slot] as the most recently used way. *)
+let install t slot line ~dirty =
+  t.tags.(slot) <- line;
+  set_dirty t slot dirty;
+  touch t slot
 
 let lookup t ~addr ~is_write =
   t.stats.accesses <- t.stats.accesses + 1;
@@ -117,7 +200,7 @@ let lookup t ~addr ~is_write =
   if slot >= 0 then begin
     t.stats.hits <- t.stats.hits + 1;
     touch t slot;
-    if is_write then t.dirty.(slot) <- true;
+    if is_write then set_dirty t slot true;
     `Hit
   end
   else begin
@@ -133,53 +216,45 @@ let fill t ~addr ~dirty =
   if slot >= 0 then begin
     (* Already present (e.g. filled by a coalesced miss): refresh. *)
     touch t slot;
-    if dirty then t.dirty.(slot) <- true;
+    if dirty then set_dirty t slot true;
     `None
   end
   else begin
-      let set = set_of t line in
-      let base = set * t.cfg.assoc in
-      (* Choose an invalid way, else the LRU way. *)
-      let victim = ref base in
-      let found_invalid = ref false in
-      for way = 0 to t.cfg.assoc - 1 do
-        let slot = base + way in
-        if (not !found_invalid) && t.tags.(slot) = -1 then begin
-          victim := slot;
-          found_invalid := true
+    let slot = victim t (set_of t line) in
+    let old = t.tags.(slot) in
+    let result =
+      if old = -1 then `None
+      else begin
+        t.stats.evictions <- t.stats.evictions + 1;
+        let evicted_addr = old * t.cfg.line_size in
+        if is_dirty t slot then begin
+          t.stats.writebacks <- t.stats.writebacks + 1;
+          `Dirty evicted_addr
         end
-        else if (not !found_invalid) && t.lru.(slot) < t.lru.(!victim) then
-          victim := slot
-      done;
-      let slot = !victim in
-      let result =
-        if t.tags.(slot) = -1 then `None
-        else begin
-          t.stats.evictions <- t.stats.evictions + 1;
-          let evicted_addr = t.tags.(slot) * t.cfg.line_size in
-          if t.dirty.(slot) then begin
-            t.stats.writebacks <- t.stats.writebacks + 1;
-            `Dirty evicted_addr
-          end
-          else `Clean evicted_addr
-        end
-      in
-      t.tags.(slot) <- line;
-      t.dirty.(slot) <- dirty;
-      touch t slot;
-      result
+        else `Clean evicted_addr
+      end
+    in
+    install t slot line ~dirty;
+    result
   end
 
-let invalidate t ~addr =
+(* Drop the line holding [addr]; whether it was dirty, or [`Absent]. *)
+let remove t ~addr =
   let slot = find_way t (line_of t addr) in
   if slot < 0 then `Absent
   else begin
-    t.stats.invalidations <- t.stats.invalidations + 1;
     t.tags.(slot) <- -1;
-    let was_dirty = t.dirty.(slot) in
-    t.dirty.(slot) <- false;
+    let was_dirty = is_dirty t slot in
+    set_dirty t slot false;
     if was_dirty then `Dirty else `Clean
   end
+
+let invalidate t ~addr =
+  match remove t ~addr with
+  | `Absent -> `Absent
+  | (`Clean | `Dirty) as r ->
+      t.stats.invalidations <- t.stats.invalidations + 1;
+      r
 
 (* MSHR entries are cleaned lazily: an entry whose ready cycle has passed no
    longer occupies a slot. The expiry heap makes this O(stale log n) instead
@@ -242,56 +317,34 @@ let warm t ~addr ~is_write =
   let slot = find_way t line in
   if slot >= 0 then begin
     touch t slot;
-    if is_write then t.dirty.(slot) <- true;
+    if is_write then set_dirty t slot true;
     `Hit
   end
   else begin
-    let set = set_of t line in
-    let base = set * t.cfg.assoc in
-    let victim = ref base in
-    let found_invalid = ref false in
-    for way = 0 to t.cfg.assoc - 1 do
-      let slot = base + way in
-      if (not !found_invalid) && t.tags.(slot) = -1 then begin
-        victim := slot;
-        found_invalid := true
-      end
-      else if (not !found_invalid) && t.lru.(slot) < t.lru.(!victim) then
-        victim := slot
-    done;
-    let slot = !victim in
+    let slot = victim t (set_of t line) in
+    let old = t.tags.(slot) in
     let result =
-      if t.tags.(slot) = -1 then `Filled `None
-      else begin
-        let evicted_addr = t.tags.(slot) * t.cfg.line_size in
-        if t.dirty.(slot) then `Filled (`Dirty evicted_addr)
-        else `Filled (`Clean evicted_addr)
-      end
+      if old = -1 then `Filled `None
+      else if is_dirty t slot then `Filled (`Dirty (old * t.cfg.line_size))
+      else `Filled (`Clean (old * t.cfg.line_size))
     in
-    t.tags.(slot) <- line;
-    t.dirty.(slot) <- is_write;
-    touch t slot;
+    install t slot line ~dirty:is_write;
     result
   end
 
 (* [invalidate] minus the stats bump: directory bookkeeping during
    fast-forward drops lines architecturally without counting them as
    demand-path invalidations. *)
-let drop t ~addr =
-  let slot = find_way t (line_of t addr) in
-  if slot < 0 then `Absent
-  else begin
-    t.tags.(slot) <- -1;
-    let was_dirty = t.dirty.(slot) in
-    t.dirty.(slot) <- false;
-    if was_dirty then `Dirty else `Clean
-  end
+let drop = remove
 
 (* --- Snapshot support --- *)
 
 type dump = {
-  d_tags : int array;
-  d_dirty : bool array;
+  d_assoc : int;
+  d_set_base : int array;
+  d_set_ways : int array;
+  d_tags : int array;  (** the pool's used prefix *)
+  d_dirty : Bytes.t;
   d_lru : int array;
   d_clock : int;
   d_mshr : Int_table.dump;
@@ -302,9 +355,12 @@ type dump = {
 
 let dump t =
   {
-    d_tags = Array.copy t.tags;
-    d_dirty = Array.copy t.dirty;
-    d_lru = Array.copy t.lru;
+    d_assoc = t.cfg.assoc;
+    d_set_base = Array.copy t.set_base;
+    d_set_ways = Array.copy t.set_ways;
+    d_tags = Array.sub t.tags 0 t.used;
+    d_dirty = Bytes.sub t.dirty 0 t.used;
+    d_lru = Array.sub t.lru 0 t.used;
     d_clock = t.clock;
     d_mshr = Int_table.dump t.mshr;
     d_mshr_expiry = Int_heap.dump t.mshr_expiry;
@@ -318,11 +374,14 @@ let dump t =
   }
 
 let restore t d =
-  if Array.length d.d_tags <> Array.length t.tags then
+  if d.d_assoc <> t.cfg.assoc || Array.length d.d_set_ways <> t.nsets then
     invalid_arg (Printf.sprintf "Cache.restore(%s): geometry mismatch" t.cname);
-  Array.blit d.d_tags 0 t.tags 0 (Array.length t.tags);
-  Array.blit d.d_dirty 0 t.dirty 0 (Array.length t.dirty);
-  Array.blit d.d_lru 0 t.lru 0 (Array.length t.lru);
+  Array.blit d.d_set_base 0 t.set_base 0 t.nsets;
+  Array.blit d.d_set_ways 0 t.set_ways 0 t.nsets;
+  t.tags <- Array.copy d.d_tags;
+  t.dirty <- Bytes.copy d.d_dirty;
+  t.lru <- Array.copy d.d_lru;
+  t.used <- Array.length d.d_tags;
   t.clock <- d.d_clock;
   Int_table.restore t.mshr d.d_mshr;
   Int_heap.restore t.mshr_expiry d.d_mshr_expiry;

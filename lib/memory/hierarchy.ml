@@ -316,13 +316,15 @@ let can_accept t ~tile ~cycle =
     invalid_arg (Printf.sprintf "Hierarchy.can_accept: bad tile %d" tile);
   not (Cache.mshr_full t.l1s.(tile) ~cycle)
 
-let next_accept t ~tile ~cycle =
+let next_accept_cycle t ~tile ~cycle =
   if tile < 0 || tile >= t.ntiles then
     invalid_arg (Printf.sprintf "Hierarchy.next_accept: bad tile %d" tile);
-  if not (Cache.mshr_full t.l1s.(tile) ~cycle) then None
-  else
-    let ready = Cache.mshr_earliest t.l1s.(tile) ~cycle in
-    if ready >= 0 then Some ready else None
+  if not (Cache.mshr_full t.l1s.(tile) ~cycle) then -1
+  else Cache.mshr_earliest t.l1s.(tile) ~cycle
+
+let next_accept t ~tile ~cycle =
+  let ready = next_accept_cycle t ~tile ~cycle in
+  if ready >= 0 then Some ready else None
 
 let dram_burst t ~cycle ~addr ~bytes ~is_write =
   if bytes <= 0 then cycle

@@ -62,12 +62,16 @@ val hits_private : t -> tile:int -> addr:int -> bool
     core to the memory system's actual miss bandwidth. *)
 val can_accept : t -> tile:int -> cycle:int -> bool
 
-(** [next_accept t ~tile ~cycle] is the earliest cycle after [cycle] at
-    which {!can_accept} flips back to true when the tile's L1 MSHR is
-    currently full ([None] when it can accept now). During a quiescent
-    stretch MSHR slots free only by time passing, so this is the exact wake
-    cycle the event-driven scheduler needs for a tile whose fire-and-forget
-    memory ops are throttled by miss bandwidth. *)
+(** [next_accept_cycle t ~tile ~cycle] is the earliest cycle after
+    [cycle] at which {!can_accept} flips back to true when the tile's L1
+    MSHR is currently full, or [-1] when it can accept now. During a
+    quiescent stretch MSHR slots free only by time passing, so this is the
+    exact wake cycle the event-driven scheduler needs for a tile whose
+    fire-and-forget memory ops are throttled by miss bandwidth. The int
+    sentinel keeps the scheduler's quiescent-cycle path allocation-free. *)
+val next_accept_cycle : t -> tile:int -> cycle:int -> int
+
+(** {!next_accept_cycle} as an option, [None] for [-1]. *)
 val next_accept : t -> tile:int -> cycle:int -> int option
 
 (** [warm t ~tile ~addr ~is_write] replays the architectural effects of a

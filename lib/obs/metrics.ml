@@ -77,23 +77,27 @@ let counter_value c = c.count
 let set g v = g.value <- v
 let gauge_value g = g.value
 
+(* First bound >= v, else the overflow bucket. A binary search in a
+   while loop: a local recursive function would allocate a closure over
+   [h] and [v] on every observation. *)
 let bucket_index h v =
-  (* First bound >= v, else the overflow bucket. *)
-  let n = Array.length h.bounds in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if h.bounds.(mid) >= v then search lo mid else search (mid + 1) hi
-  in
-  search 0 n
+  let lo = ref 0 and hi = ref (Array.length h.bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if h.bounds.(mid) >= v then hi := mid else lo := mid + 1
+  done;
+  !lo
 
-let observe h v =
+let[@inline] observe h v =
   Fenwick.add h.buckets (bucket_index h v) 1;
   h.hcount <- h.hcount + 1;
   h.fstate.(0) <- h.fstate.(0) +. v;
   if v < h.fstate.(1) then h.fstate.(1) <- v;
   if v > h.fstate.(2) then h.fstate.(2) <- v
+
+(* [observe] for an integer sample, converted here so that no boxed float
+   crosses the call. *)
+let observe_int h n = observe h (float_of_int n)
 
 let hist_count h = h.hcount
 let hist_sum h = h.fstate.(0)

@@ -41,6 +41,10 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
+(** [observe_int h n] is [observe h (float_of_int n)] without boxing the
+    float: the per-access latency histograms use it on the issue path. *)
+val observe_int : histogram -> int -> unit
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 val hist_mean : histogram -> float

@@ -715,7 +715,7 @@ let try_issue t seq ~cycle =
              });
       (match t.lat_hist with
       | Some h when is_mem_g t g ->
-          Mosaic_obs.Metrics.observe h (float_of_int (c - cycle))
+          Mosaic_obs.Metrics.observe_int h (c - cycle)
       | _ -> ());
       t.fu_busy.(ci) <- t.fu_busy.(ci) + 1;
       t.stats.issued_by_class.(ci) <- t.stats.issued_by_class.(ci) + 1;
@@ -910,6 +910,11 @@ let has_issue_candidate t =
     && t.r_state.(t.next_issue land t.mask) = st_ready
   else t.ready_len > 0 || t.stash_len > 0
 
+(* [best] lowered to [c] when [c] is a later cycle than [cycle]. A
+   top-level function, not a local closure over a [ref]: this runs on
+   every quiescent cycle. *)
+let earliest_after ~cycle best c = if c > cycle && c < best then c else best
+
 (* The earliest cycle after [cycle] at which this tile's state can change
    by time alone, or [max_int] when only another component's progress can
    unblock it (a full destination buffer, an empty receive channel, a debt
@@ -922,10 +927,10 @@ let next_event_cycle t ~cycle =
   else begin
     let div = t.cfg.Tile_config.clock_divider in
     let best = ref max_int in
-    let add c = if c > cycle && c < !best then best := c in
-    if not (Int_heap.is_empty t.events) then add (Int_heap.min_prio t.events);
+    if not (Int_heap.is_empty t.events) then
+      best := earliest_after ~cycle !best (Int_heap.min_prio t.events);
     if not (Int_heap.is_empty t.mao_release) then
-      add (Int_heap.min_prio t.mao_release);
+      best := earliest_after ~cycle !best (Int_heap.min_prio t.mao_release);
     let next_edge = round_up_to ~div (cycle + 1) in
     if cycle mod div <> 0 then begin
       (* The tile had no launch/issue opportunity at [cycle], so failing to
@@ -934,7 +939,7 @@ let next_event_cycle t ~cycle =
         has_issue_candidate t
         || (t.launch_enabled && not t.trace_done)
         || t.window_start < t.next_seq
-      then add next_edge
+      then best := earliest_after ~cycle !best next_edge
     end
     else begin
       (* The tile took a full step at [cycle] and did nothing, so its work
@@ -950,20 +955,24 @@ let next_event_cycle t ~cycle =
                 penalty
             | Branch.Perfect | Branch.No_speculation -> 0
           in
-          add (round_up_to ~div (t.lt_complete + penalty))
+          best :=
+            earliest_after ~cycle !best
+              (round_up_to ~div (t.lt_complete + penalty))
         end
       end;
       if
         has_issue_candidate t
         && not (Hierarchy.can_accept t.hier ~tile:t.id ~cycle)
-      then
-        match Hierarchy.next_accept t.hier ~tile:t.id ~cycle with
-        | Some free -> add (round_up_to ~div free)
-        | None -> ()
+      then begin
+        let free = Hierarchy.next_accept_cycle t.hier ~tile:t.id ~cycle in
+        if free >= 0 then
+          best := earliest_after ~cycle !best (round_up_to ~div free)
+      end
     end;
     (* A drained tile flips [done_] only at a clock edge; give it one even
        when no event remains to trigger a wake-up. *)
-    if t.trace_done && drained t then add next_edge;
+    if t.trace_done && drained t then
+      best := earliest_after ~cycle !best next_edge;
     !best
   end
 

@@ -16,56 +16,57 @@ let bucket_bounds =
   (* powers of two up to 2^24 lines (1 GB of 64B lines), then cold *)
   List.init 25 (fun i -> 1 lsl i) @ [ max_int ]
 
-(* Replay the control path popping each memory instruction's address
-   stream, yielding the true dynamic access order. *)
-let dynamic_addresses (func : Func.t) (tt : Trace.tile_trace) =
-  let cursor = Trace.Cursor.create tt in
-  let out = Mosaic_util.Int_vec.create ~initial_capacity:1024 () in
-  (* Loops, not iterators: a closure per block and an option per step
-     would allocate on every dynamic block of the trace. *)
-  let bid = ref (Trace.Cursor.next_block_id cursor) in
-  while !bid >= 0 do
-    let instrs = (Func.block func !bid).Func.instrs in
-    for k = 0 to Array.length instrs - 1 do
-      let i = instrs.(k) in
-      if Op.is_mem i.Instr.op then
-        Mosaic_util.Int_vec.push out
-          (Trace.Cursor.next_addr cursor ~instr_id:i.Instr.id)
-    done;
-    bid := Trace.Cursor.next_block_id cursor
-  done;
-  Mosaic_util.Int_vec.to_array out
-
 (* LRU stack distances via the classic Fenwick-tree algorithm: for access i
    to a line last touched at j, the stack distance is the number of
-   distinct lines touched in (j, i). *)
-let reuse_histogram addrs =
-  let n = Array.length addrs in
+   distinct lines touched in (j, i). The accesses come straight from a
+   replay of the control path, popping each memory instruction's address
+   stream in true dynamic order; the tree is sized by the trace's address
+   count, so no copy of the address stream is made. Loops, not iterators:
+   a closure per block and an option per step would allocate on every
+   dynamic block of the trace. *)
+let reuse_histogram (func : Func.t) (tt : Trace.tile_trace) =
+  let n =
+    Array.fold_left (fun acc a -> acc + Array.length a) 0 tt.Trace.mem_addrs
+  in
   let bit = Fenwick.create (Stdlib.max n 1) in
   let last = Mosaic_util.Int_table.create ~initial_capacity:4096 () in
   let buckets = Array.make (List.length bucket_bounds) 0 in
   let cold = Array.length buckets - 1 in
-  for i = 0 to n - 1 do
-    let line = addrs.(i) / line_size in
-    let j = Mosaic_util.Int_table.find last line ~default:(-1) in
-    if j >= 0 then begin
-      let distance = Fenwick.range_sum bit ~lo:(j + 1) ~hi:(i - 1) in
-      (* The first power-of-two bound above [distance] (bit length), or
-         the last bucket past 2^24. *)
-      let b = ref 0 in
-      while !b < cold && distance >= 1 lsl !b do incr b done;
-      buckets.(!b) <- buckets.(!b) + 1;
-      Fenwick.add bit j (-1)
-    end
-    else
-      (* cold miss: infinite distance *)
-      buckets.(cold) <- buckets.(cold) + 1;
-    Mosaic_util.Int_table.set last line i;
-    Fenwick.add bit i 1
+  let cursor = Trace.Cursor.create tt in
+  let i = ref 0 in
+  let bid = ref (Trace.Cursor.next_block_id cursor) in
+  while !bid >= 0 do
+    let instrs = (Func.block func !bid).Func.instrs in
+    for k = 0 to Array.length instrs - 1 do
+      let ins = instrs.(k) in
+      if Op.is_mem ins.Instr.op then begin
+        let line =
+          Trace.Cursor.next_addr cursor ~instr_id:ins.Instr.id / line_size
+        in
+        let j = Mosaic_util.Int_table.find last line ~default:(-1) in
+        if j >= 0 then begin
+          let distance = Fenwick.range_sum bit ~lo:(j + 1) ~hi:(!i - 1) in
+          (* The first power-of-two bound above [distance] (bit length), or
+             the last bucket past 2^24. *)
+          let b = ref 0 in
+          while !b < cold && distance >= 1 lsl !b do incr b done;
+          buckets.(!b) <- buckets.(!b) + 1;
+          Fenwick.add bit j (-1)
+        end
+        else
+          (* cold miss: infinite distance *)
+          buckets.(cold) <- buckets.(cold) + 1;
+        Mosaic_util.Int_table.set last line !i;
+        Fenwick.add bit !i 1;
+        incr i
+      end
+    done;
+    bid := Trace.Cursor.next_block_id cursor
   done;
   (List.map2 (fun bound count -> (bound, count)) bucket_bounds
      (Array.to_list buckets),
-   Mosaic_util.Int_table.length last)
+   Mosaic_util.Int_table.length last,
+   !i)
 
 (* Per static instruction: does the stride repeat? *)
 let stride_regularity (tt : Trace.tile_trace) =
@@ -82,9 +83,7 @@ let stride_regularity (tt : Trace.tile_trace) =
   if !total = 0 then 0.0 else float_of_int !regular /. float_of_int !total
 
 let tile func (tt : Trace.tile_trace) =
-  let addrs = dynamic_addresses func tt in
-  let reuse_hist, footprint_lines = reuse_histogram addrs in
-  let mem_accesses = Array.length addrs in
+  let reuse_hist, footprint_lines, mem_accesses = reuse_histogram func tt in
   {
     dyn_instrs = tt.Trace.dyn_instrs;
     mem_accesses;
@@ -213,13 +212,17 @@ let dependence_chain (func : Func.t) (tt : Trace.tile_trace) =
   (* Loops over the path and the operands, not iterators over
      [Instr.uses]: a closure per block and a list per instruction would
      allocate on every dynamic instruction of the trace. *)
+  let class_of_id =
+    Array.map (fun ((i : Instr.t), _) -> class_index (Op.classify i.Instr.op))
+      func.Func.index
+  in
   let path = tt.Trace.bb_path in
   for p = 0 to Array.length path - 1 do
     let instrs = (Func.block func path.(p)).Func.instrs in
     for x = 0 to Array.length instrs - 1 do
       let i = instrs.(x) in
-      let cls = Op.classify i.Instr.op in
-      let ci = class_index cls in
+      let ci = class_of_id.(i.Instr.id) in
+      let cls = classes.(ci) in
       class_counts.(ci) <- class_counts.(ci) + 1;
       (match i.Instr.op with
       | Op.Send _ | Op.Load_send _ -> incr sends

@@ -8,8 +8,15 @@
    caller-supplied default instead of an option, and iteration walks the
    backing arrays directly.
 
-   Linear probing over a power-of-two capacity; deleted slots leave
-   tombstones that are squeezed out on the next rehash. *)
+   Linear probing over a power-of-two capacity. A removal empties its
+   slot, and the tombstones just before it, when the next slot is empty
+   (no probe runs through them), and leaves a tombstone otherwise. Once live entries plus tombstones pass half the
+   capacity the table rehashes: it doubles only when live entries fill
+   more than a quarter of it, and otherwise squeezes the tombstones out at
+   the same capacity into a retained spare pair of arrays. So a table
+   under insert/remove churn (the MAO's seq index, an MSHR table) stays at
+   a capacity set by its live entries and, once the spare exists, churns
+   without allocating. *)
 
 (* Reserved key sentinels. Simulator keys (addresses, packed ids) are
    non-negative, so the two most negative ints are safe markers. *)
@@ -22,6 +29,10 @@ type t = {
   mutable mask : int;  (** capacity - 1; capacity is a power of two *)
   mutable len : int;  (** live entries *)
   mutable tombs : int;  (** deleted slots awaiting rehash *)
+  mutable spare_keys : int array;
+      (** the pair a squeeze rehashes into: same capacity, or [[||]] until
+          the first squeeze at this capacity *)
+  mutable spare_vals : int array;
 }
 
 let check_key k =
@@ -38,9 +49,12 @@ let create ?(initial_capacity = 16) () =
     mask = cap - 1;
     len = 0;
     tombs = 0;
+    spare_keys = [||];
+    spare_vals = [||];
   }
 
 let length t = t.len
+let capacity t = t.mask + 1
 
 (* Fibonacci-style multiplicative mix; the multiplier is odd so low-entropy
    keys (line addresses, packed ids) still spread across the table. *)
@@ -75,22 +89,50 @@ let find t k ~default =
   let i = probe t k in
   if i < 0 then default else t.vals.(i)
 
-let rec grow t =
+(* Place the live entries of [old_keys]/[old_vals] into [t]'s arrays,
+   which hold no entries yet. *)
+let reinsert t old_keys old_vals =
+  for i = 0 to Array.length old_keys - 1 do
+    let k = old_keys.(i) in
+    if k <> empty_key && k <> deleted_key then begin
+      let j = ref (slot_of t k) in
+      while t.keys.(!j) <> empty_key do
+        j := (!j + 1) land t.mask
+      done;
+      t.keys.(!j) <- k;
+      t.vals.(!j) <- old_vals.(i)
+    end
+  done
+
+let rehash t =
+  let cap = t.mask + 1 in
   let old_keys = t.keys and old_vals = t.vals in
-  let cap = (t.mask + 1) * 2 in
-  t.keys <- Array.make cap empty_key;
-  t.vals <- Array.make cap 0;
-  t.mask <- cap - 1;
-  t.len <- 0;
+  if t.len * 4 > cap then begin
+    t.keys <- Array.make (2 * cap) empty_key;
+    t.vals <- Array.make (2 * cap) 0;
+    t.mask <- (2 * cap) - 1;
+    t.spare_keys <- [||];
+    t.spare_vals <- [||]
+  end
+  else begin
+    if Array.length t.spare_keys = cap then
+      Array.fill t.spare_keys 0 cap empty_key
+    else begin
+      t.spare_keys <- Array.make cap empty_key;
+      t.spare_vals <- Array.make cap 0
+    end;
+    t.keys <- t.spare_keys;
+    t.vals <- t.spare_vals;
+    t.spare_keys <- old_keys;
+    t.spare_vals <- old_vals
+  end;
   t.tombs <- 0;
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> deleted_key then set t k old_vals.(i))
-    old_keys
+  reinsert t old_keys old_vals
 
 (* Insert or replace. Single probe: remembers the first tombstone so a
    fresh key reuses it instead of lengthening the cluster. Loop-shaped
    for the same allocation reason as [probe]. *)
-and set t k v =
+let set t k v =
   check_key k;
   let i = ref (slot_of t k) in
   let free = ref (-1) in
@@ -107,7 +149,7 @@ and set t k v =
       t.keys.(dest) <- k;
       t.vals.(dest) <- v;
       t.len <- t.len + 1;
-      if (t.len + t.tombs) * 2 > t.mask + 1 then grow t;
+      if (t.len + t.tombs) * 2 > t.mask + 1 then rehash t;
       continue := false
     end
     else begin
@@ -136,9 +178,22 @@ let remove t k =
   check_key k;
   let i = probe t k in
   if i >= 0 then begin
-    t.keys.(i) <- deleted_key;
     t.len <- t.len - 1;
-    t.tombs <- t.tombs + 1
+    if t.keys.((i + 1) land t.mask) = empty_key then begin
+      (* The run ends here, so this slot and the tombstones just before it
+         lie on no probe path that goes further: empty them all. *)
+      t.keys.(i) <- empty_key;
+      let j = ref ((i - 1) land t.mask) in
+      while t.keys.(!j) = deleted_key do
+        t.keys.(!j) <- empty_key;
+        t.tombs <- t.tombs - 1;
+        j := (!j - 1) land t.mask
+      done
+    end
+    else begin
+      t.keys.(i) <- deleted_key;
+      t.tombs <- t.tombs + 1
+    end
   end
 
 let iter f t =
@@ -164,7 +219,8 @@ let clear t =
    positions), and [iter] order is slot order, so a dump copies the
    backing arrays verbatim rather than re-inserting live entries: the
    restored table is indistinguishable from the original, including
-   iteration order and future growth points. *)
+   iteration order and future rehash points. The spare pair is not
+   state: a restored table makes its own at its first squeeze. *)
 
 type dump = { d_keys : int array; d_vals : int array; d_len : int; d_tombs : int }
 
@@ -183,6 +239,8 @@ let of_dump d =
     mask = Array.length d.d_keys - 1;
     len = d.d_len;
     tombs = d.d_tombs;
+    spare_keys = [||];
+    spare_vals = [||];
   }
 
 let restore t d =
@@ -190,4 +248,6 @@ let restore t d =
   t.vals <- Array.copy d.d_vals;
   t.mask <- Array.length d.d_keys - 1;
   t.len <- d.d_len;
-  t.tombs <- d.d_tombs
+  t.tombs <- d.d_tombs;
+  t.spare_keys <- [||];
+  t.spare_vals <- [||]

@@ -1,6 +1,7 @@
 (** Open-addressing int-to-int hash table for the simulator's hot paths.
 
-    Monomorphic and allocation-free on every operation except growth:
+    Monomorphic and allocation-free on every operation except growth and
+    the first squeeze at a capacity:
     lookups return a caller-supplied default instead of allocating an
     option, [add] performs read-modify-write in a single probe, and
     [iter]/[fold] walk the backing arrays without building lists.
@@ -15,6 +16,11 @@ val create : ?initial_capacity:int -> unit -> t
 (** Number of live entries. *)
 val length : t -> int
 
+(** Number of slots. Doubles only when live entries fill more than a
+    quarter of it at a rehash, so insert/remove churn over a bounded live
+    set leaves it bounded. *)
+val capacity : t -> int
+
 val mem : t -> int -> bool
 
 (** [find t k ~default] is [k]'s value, or [default] when absent. *)
@@ -27,8 +33,8 @@ val set : t -> int -> int -> unit
     stores the sum and returns it. A single probe. *)
 val add : t -> int -> int -> int
 
-(** Remove [k] if present (leaves a tombstone reclaimed at the next
-    growth). *)
+(** Remove [k] if present (may leave a tombstone, reclaimed at the next
+    rehash). *)
 val remove : t -> int -> unit
 
 (** {1 Slot-level access}
@@ -53,7 +59,7 @@ val clear : t -> unit
     Verbatim images of the backing arrays. Probe sequences and iteration
     order depend on slot layout, so dumps preserve it exactly: a restored
     table behaves identically to the original, including iteration order
-    and growth points. *)
+    and rehash points. *)
 
 type dump
 

@@ -136,6 +136,193 @@ let prop_cache_matches_reference =
           model_hit = ref_hit)
         lines)
 
+(* Dense reference for [Cache]'s tag state: every way of every set exists
+   from the start ([set * assoc + way]), a miss fills the first invalid way
+   of its set or else the least recently used one. [Cache] creates ways on
+   first use instead; no sequence of operations may tell the two apart. *)
+module Dense_cache = struct
+  type t = {
+    nsets : int;
+    assoc : int;
+    tags : int array;  (** -1 = invalid *)
+    dirty : bool array;
+    lru : int array;
+    mutable clock : int;
+    stats : int array;  (** the nine counters, field order of [Cache.stats] *)
+  }
+
+  let create ~nsets ~assoc =
+    {
+      nsets;
+      assoc;
+      tags = Array.make (nsets * assoc) (-1);
+      dirty = Array.make (nsets * assoc) false;
+      lru = Array.make (nsets * assoc) 0;
+      clock = 0;
+      stats = Array.make 9 0;
+    }
+
+  let bump t i = t.stats.(i) <- t.stats.(i) + 1
+  let base t line = line mod t.nsets * t.assoc
+
+  let find t line =
+    let b = base t line in
+    let rec go w =
+      if w = t.assoc then -1
+      else if t.tags.(b + w) = line then b + w
+      else go (w + 1)
+    in
+    go 0
+
+  let touch t slot =
+    t.clock <- t.clock + 1;
+    t.lru.(slot) <- t.clock
+
+  let victim t line =
+    let b = base t line in
+    let ways = List.init t.assoc (fun w -> b + w) in
+    match List.find_opt (fun s -> t.tags.(s) = -1) ways with
+    | Some s -> s
+    | None ->
+        List.fold_left
+          (fun v s -> if t.lru.(s) < t.lru.(v) then s else v)
+          b ways
+
+  (* Install [line] at its victim; the displaced line, if any. *)
+  let replace t line ~dirty =
+    let s = victim t line in
+    let old = t.tags.(s) and was_dirty = t.dirty.(s) in
+    t.tags.(s) <- line;
+    t.dirty.(s) <- dirty;
+    touch t s;
+    if old = -1 then `None
+    else if was_dirty then `Dirty (old * 64)
+    else `Clean (old * 64)
+
+  let lookup t line ~is_write =
+    bump t 0;
+    let s = find t line in
+    if s < 0 then (bump t 2; `Miss)
+    else begin
+      bump t 1;
+      touch t s;
+      if is_write then t.dirty.(s) <- true;
+      `Hit
+    end
+
+  let fill t line ~dirty =
+    let s = find t line in
+    if s >= 0 then begin
+      touch t s;
+      if dirty then t.dirty.(s) <- true;
+      `None
+    end
+    else
+      match replace t line ~dirty with
+      | `None -> `None
+      | `Clean a -> bump t 3; `Clean a
+      | `Dirty a -> bump t 3; bump t 4; `Dirty a
+
+  let warm t line ~is_write =
+    let s = find t line in
+    if s >= 0 then begin
+      touch t s;
+      if is_write then t.dirty.(s) <- true;
+      `Hit
+    end
+    else `Filled (replace t line ~dirty:is_write)
+
+  let drop t line =
+    let s = find t line in
+    if s < 0 then `Absent
+    else begin
+      t.tags.(s) <- -1;
+      let d = t.dirty.(s) in
+      t.dirty.(s) <- false;
+      if d then `Dirty else `Clean
+    end
+
+  let invalidate t line =
+    match drop t line with
+    | `Absent -> `Absent
+    | r -> bump t 8; r
+end
+
+let cache_stats_array c =
+  let s = Cache.stats c in
+  Cache.
+    [|
+      s.accesses; s.hits; s.misses; s.evictions; s.writebacks;
+      s.prefetches_issued; s.mshr_merges; s.mshr_stalls; s.invalidations;
+    |]
+
+(* Random operation streams on 1-4 sets x 1-8 ways, with the cache dumped
+   and restored into a fresh one partway through: every outcome, every
+   evicted address and all nine counters must equal the dense model's. *)
+let prop_cache_matches_dense =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun nsets ->
+      int_range 1 8 >>= fun assoc ->
+      let nlines = nsets * assoc * 3 in
+      let op =
+        triple (int_range 0 5) (int_range 0 (nlines - 1)) bool
+      in
+      list_size (int_range 1 400) op >>= fun ops ->
+      int_range 0 (List.length ops - 1) >|= fun cut -> (nsets, assoc, ops, cut))
+  in
+  let print (nsets, assoc, ops, cut) =
+    Printf.sprintf "%d sets x %d ways, restore before op %d: %s" nsets assoc
+      cut
+      (String.concat " "
+         (List.map
+            (fun (k, l, b) ->
+              Printf.sprintf "%s(%d%s)"
+                [| "lookup"; "fill"; "invalidate"; "warm"; "drop"; "probe" |].(k)
+                l (if b then ",w" else ""))
+            ops))
+  in
+  QCheck.Test.make ~name:"cache matches a dense reference across dump/restore"
+    ~count:300 (QCheck.make ~print gen) (fun (nsets, assoc, ops, cut) ->
+      let cfg =
+        {
+          Cache.size_bytes = nsets * assoc * 64;
+          line_size = 64;
+          assoc;
+          latency = 1;
+          mshr_size = 4;
+          prefetch = None;
+        }
+      in
+      let c = ref (Cache.create ~name:"sparse" cfg) in
+      let d = Dense_cache.create ~nsets ~assoc in
+      List.for_all
+        (fun (i, (kind, line, flag)) ->
+          if i = cut then begin
+            let fresh = Cache.create ~name:"sparse" cfg in
+            Cache.restore fresh (Cache.dump !c);
+            c := fresh
+          end;
+          (* An offset inside the line: the cache must work on lines. *)
+          let addr = (line * 64) + (i mod 64) in
+          let same =
+            match kind with
+            | 0 ->
+                Cache.lookup !c ~addr ~is_write:flag
+                = Dense_cache.lookup d line ~is_write:flag
+            | 1 ->
+                Cache.fill !c ~addr ~dirty:flag
+                = Dense_cache.fill d line ~dirty:flag
+            | 2 -> Cache.invalidate !c ~addr = Dense_cache.invalidate d line
+            | 3 ->
+                Cache.warm !c ~addr ~is_write:flag
+                = Dense_cache.warm d line ~is_write:flag
+            | 4 -> Cache.drop !c ~addr = Dense_cache.drop d line
+            | _ -> Cache.probe !c ~addr = (Dense_cache.find d line >= 0)
+          in
+          same && cache_stats_array !c = d.Dense_cache.stats)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* --- Prefetcher --- *)
 
 let test_prefetcher_detects_stream () =
@@ -375,6 +562,7 @@ let suite =
         Alcotest.test_case "mshr tracking" `Quick test_mshr_tracking;
         Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+        QCheck_alcotest.to_alcotest prop_cache_matches_dense;
       ] );
     ( "memory.prefetcher",
       [

@@ -243,11 +243,12 @@ let test_container () =
       Bytes.set bad_version 4 '\xff';
       expect_format "unsupported version" bad_version)
 
-(* A container written under the previous layout (version byte 1, before
-   the tile state moved to a slot ring) is refused with a message naming
-   both versions, never handed to Marshal. *)
-let test_container_refuses_v1 () =
-  checki "current layout" 2 Snapshot.format_version;
+(* Containers written under earlier layouts (version byte 1, before the
+   tile state moved to a slot ring; version byte 2, before caches created
+   their ways on first use) are refused with a message naming both
+   versions, never handed to Marshal. *)
+let test_container_refuses ~old () =
+  checki "current layout" 3 Snapshot.format_version;
   let inst = W.Micro.stream ~seed:5 ~elems:64 () in
   let trace = W.Runner.trace inst ~ntiles:1 in
   let snap = ref None in
@@ -257,9 +258,9 @@ let test_container_refuses_v1 () =
        Mosaic.Presets.dae_soc ~program:inst.W.Runner.program ~trace
        ~tile_config:TC.out_of_order);
   let bytes = Snapshot.to_bytes (Option.get !snap) in
-  Bytes.set bytes (String.length Snapshot.magic) (Char.chr 1);
+  Bytes.set bytes (String.length Snapshot.magic) (Char.chr old);
   match Snapshot.of_bytes bytes with
-  | (_ : Snapshot.t) -> Alcotest.fail "version 1 container accepted"
+  | (_ : Snapshot.t) -> Alcotest.failf "version %d container accepted" old
   | exception Snapshot.Format_error msg ->
       let has needle =
         let n = String.length needle and m = String.length msg in
@@ -268,7 +269,7 @@ let test_container_refuses_v1 () =
         in
         go 0
       in
-      if not (has "version 1" && has "version 2") then
+      if not (has (Printf.sprintf "version %d" old) && has "version 3") then
         Alcotest.failf "message does not name both versions: %s" msg
 
 (* Interval sampling sanity: the sampled run completes every instruction,
@@ -343,7 +344,9 @@ let suite =
         Alcotest.test_case "container rejects corrupt/truncated" `Quick
           test_container;
         Alcotest.test_case "container refuses format version 1" `Quick
-          test_container_refuses_v1;
+          (test_container_refuses ~old:1);
+        Alcotest.test_case "container refuses format version 2" `Quick
+          (test_container_refuses ~old:2);
         Alcotest.test_case "interval sampling sanity" `Quick test_sampling;
       ] );
   ]

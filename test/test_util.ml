@@ -208,10 +208,87 @@ let test_int_table_reserved_keys () =
     (Invalid_argument "Int_table: key out of supported range") (fun () ->
       ignore (Int_table.mem t (min_int + 1)))
 
-(* Model check against Hashtbl: random insert/remove/add streams must leave
-   both maps with identical contents (compared via sorted bindings, so
-   iteration order never matters). Keys are drawn from a small range to
-   force collisions, tombstone reuse, and rehashes with deletions. *)
+(* Insert/remove churn over a bounded live set, the pattern of the MAO's
+   seq index and a cache's MSHR table: a sliding window of [live] keys,
+   one insert and one remove per step. The capacity must stay within 4x
+   of the initial one (rehashes squeeze tombstones out instead of
+   doubling), and once warm the churn must allocate nothing. *)
+let test_int_table_churn () =
+  let live = 64 in
+  List.iter
+    (fun (what, key) ->
+      let t = Int_table.create ~initial_capacity:live () in
+      let initial = Int_table.capacity t in
+      let step i =
+        if i >= live then Int_table.remove t (key (i - live));
+        Int_table.set t (key i) i;
+        if Int_table.capacity t > 4 * initial then
+          Alcotest.failf "%s: capacity %d after %d steps" what
+            (Int_table.capacity t) i
+      in
+      let warm = 100_000 and steps = 1_000_000 in
+      for i = 0 to warm - 1 do
+        step i
+      done;
+      let before = Gc.allocated_bytes () in
+      for i = warm to warm + steps - 1 do
+        step i
+      done;
+      let allocated = Gc.allocated_bytes () -. before in
+      if allocated > 1024. then
+        Alcotest.failf "%s: %.0f bytes allocated by %d warm steps" what
+          allocated steps;
+      check (what ^ " live") live (Int_table.length t);
+      for i = warm + steps - live to warm + steps - 1 do
+        check (what ^ " survivor") i (Int_table.find t (key i) ~default:(-1))
+      done)
+    [
+      ("sequential", Fun.id);
+      ("scattered", fun i -> (i * 0x2545F4914F6CDD1D) land max_int);
+    ]
+
+(* Model check against Hashtbl: insert/remove/add streams must leave both
+   maps with identical contents (compared via sorted bindings, so
+   iteration order never matters). *)
+let int_table_agrees ~keys ops =
+  let t = Int_table.create ~initial_capacity:8 () in
+  let h = Hashtbl.create 8 in
+  List.iter
+    (fun op ->
+      match op with
+      | `Set (k, v) ->
+          Int_table.set t k v;
+          Hashtbl.replace h k v
+      | `Remove k ->
+          Int_table.remove t k;
+          Hashtbl.remove h k
+      | `Add (k, d) ->
+          let model =
+            (match Hashtbl.find_opt h k with None -> 0 | Some v -> v) + d
+          in
+          Hashtbl.replace h k model;
+          if Int_table.add t k d <> model then
+            QCheck.Test.fail_report "add returned a stale sum")
+    ops;
+  (* Also exercise the read APIs on every key ever touched. *)
+  let agree k =
+    Int_table.mem t k = Hashtbl.mem h k
+    && Int_table.find t k ~default:(min_int + 2)
+       = (match Hashtbl.find_opt h k with None -> min_int + 2 | Some v -> v)
+  in
+  let all_agree = List.for_all agree (List.init keys Fun.id) in
+  let bindings m =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+  in
+  let table_bindings =
+    List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+  in
+  all_agree
+  && Int_table.length t = Hashtbl.length h
+  && table_bindings = bindings h
+
+(* Keys are drawn from a small range to force collisions, tombstone reuse,
+   and rehashes with deletions. *)
 let prop_int_table_model =
   let op =
     QCheck.(
@@ -224,45 +301,28 @@ let prop_int_table_model =
   in
   QCheck.Test.make ~name:"int_table agrees with Hashtbl" ~count:500
     QCheck.(list op)
-    (fun ops ->
-      let t = Int_table.create ~initial_capacity:8 () in
-      let h = Hashtbl.create 8 in
-      List.iter
-        (fun op ->
-          match op with
-          | `Set (k, v) ->
-              Int_table.set t k v;
-              Hashtbl.replace h k v
-          | `Remove k ->
-              Int_table.remove t k;
-              Hashtbl.remove h k
-          | `Add (k, d) ->
-              let model =
-                (match Hashtbl.find_opt h k with None -> 0 | Some v -> v) + d
-              in
-              Hashtbl.replace h k model;
-              if Int_table.add t k d <> model then
-                QCheck.Test.fail_report "add returned a stale sum")
-        ops;
-      (* Also exercise the read APIs on every key ever touched. *)
-      let agree k =
-        Int_table.mem t k = Hashtbl.mem h k
-        && Int_table.find t k ~default:(min_int + 2)
-           = (match Hashtbl.find_opt h k with
-             | None -> min_int + 2
-             | Some v -> v)
-      in
-      let all_agree = List.for_all agree (List.init 41 Fun.id) in
-      let bindings m =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
-      in
-      let table_bindings =
-        List.sort compare
-          (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
-      in
-      all_agree
-      && Int_table.length t = Hashtbl.length h
-      && table_bindings = bindings h)
+    (int_table_agrees ~keys:41)
+
+(* Long churn: thousands of steps that each insert a key from a wide
+   range and remove the key inserted [live] steps earlier, so the live set
+   stays small while tombstones pile up. This drives many same-capacity
+   squeezes, which the short streams above rarely reach. *)
+let prop_int_table_churn_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 2_000 20_000 >>= fun n ->
+      int_range 1 48 >>= fun live ->
+      array_repeat n (int_range 0 1023) >|= fun keys ->
+      List.concat
+        (List.init n (fun i ->
+             let set = `Set (keys.(i), i) in
+             if i < live then [ set ]
+             else if i mod 97 = 0 then [ set; `Add (keys.(i - live), 1) ]
+             else [ set; `Remove keys.(i - live) ])))
+  in
+  QCheck.Test.make ~name:"int_table agrees with Hashtbl under churn" ~count:40
+    (QCheck.make gen)
+    (int_table_agrees ~keys:1024)
 
 (* --- Int_heap --- *)
 
@@ -411,6 +471,9 @@ let suite =
         Alcotest.test_case "reserved keys rejected" `Quick
           test_int_table_reserved_keys;
         QCheck_alcotest.to_alcotest prop_int_table_model;
+        QCheck_alcotest.to_alcotest prop_int_table_churn_model;
+        Alcotest.test_case "churn keeps capacity, allocates nothing" `Quick
+          test_int_table_churn;
       ] );
     ( "util.int_heap",
       [
