@@ -79,8 +79,9 @@ let gauge_value g = g.value
 
 (* First bound >= v, else the overflow bucket. A binary search in a
    while loop: a local recursive function would allocate a closure over
-   [h] and [v] on every observation. *)
-let bucket_index h v =
+   [h] and [v] on every observation. Inlined, like [observe], so that
+   [observe_int]'s float is never boxed for a call. *)
+let[@inline] bucket_index h v =
   let lo = ref 0 and hi = ref (Array.length h.bounds) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

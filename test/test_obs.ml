@@ -109,7 +109,20 @@ let test_metrics_histogram () =
     (Metrics.hist_quantile h 0.99);
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Metrics.hist_quantile: q out of range") (fun () ->
-      ignore (Metrics.hist_quantile h 1.5))
+      ignore (Metrics.hist_quantile h 1.5));
+  (* [observe_int] records the same samples and, since it runs on every
+     memory issue, allocates nothing. *)
+  let hi = Metrics.histogram ~bounds:[| 1.; 2.; 4.; 8. |] reg "lat_int" in
+  List.iter (Metrics.observe_int hi) [ 1; 1; 3; 7; 100 ];
+  checkf "int sum" 112.0 (Metrics.hist_sum hi);
+  checkf "int median" 4.0 (Metrics.hist_quantile hi 0.5);
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Metrics.observe_int hi (i land 15)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then
+    Alcotest.failf "observe_int allocated %.0f words for 100000 samples" words
 
 let test_metrics_csv_roundtrip () =
   let reg = Metrics.create () in
