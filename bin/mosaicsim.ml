@@ -304,25 +304,6 @@ let sample_arg =
   in
   Arg.(value & opt (some string) None & info [ "sample" ] ~docv:"SPEC" ~doc)
 
-let checkpoint_arg =
-  let doc = "Write a snapshot of the full timing state to $(docv)." in
-  Arg.(
-    value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
-let checkpoint_at_arg =
-  let doc =
-    "Cycle to capture the --checkpoint snapshot at (first visited cycle >= \
-     $(docv); default 0)."
-  in
-  Arg.(value & opt int 0 & info [ "checkpoint-at" ] ~docv:"CYCLE" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from a snapshot file instead of cycle 0; the remainder of the \
-     run is bit-identical to the straight run."
-  in
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
-
 let manifest_arg =
   let doc =
     "Write a self-describing run manifest to $(docv): config/trace digests, \
@@ -361,7 +342,7 @@ let write_manifest ~kind ~name ?digests ~metrics = function
 
 let run_cmd =
   let run bench tiles core system no_skip shards profile trace_out metrics_out
-      cache sample checkpoint checkpoint_at resume manifest progress =
+      cache sample manifest progress =
     apply_manifest manifest;
     apply_trace_cache cache;
     let inst = resolve_instance bench in
@@ -374,29 +355,9 @@ let run_cmd =
     let sink = sink_for trace_out in
     let sample = Option.map (sample_spec_of_string ~trace) sample in
     let progress = progress_for ~enabled:progress ~label:bench ~trace in
-    let checkpoint_at, on_checkpoint =
-      match checkpoint with
-      | None -> (None, None)
-      | Some file ->
-          ( Some checkpoint_at,
-            Some
-              (fun s ->
-                Mosaic.Snapshot.save s file;
-                Printf.printf "checkpoint: %s (cycle %d)\n" file
-                  (Mosaic.Snapshot.cycle s)) )
-    in
-    let resume =
-      Option.map
-        (fun file ->
-          try Mosaic.Snapshot.load file
-          with Mosaic.Snapshot.Format_error msg ->
-            failwith (Printf.sprintf "%s: %s" file msg))
-        resume
-    in
     let r =
-      Soc.run_homogeneous ~sink ~profile ?checkpoint_at ?on_checkpoint
-        ?resume ?sample ?progress cfg ~program:inst.W.Runner.program ~trace
-        ~tile_config:(core_of_string core)
+      Soc.run_homogeneous ~sink ~profile ?sample ?progress cfg
+        ~program:inst.W.Runner.program ~trace ~tile_config:(core_of_string core)
     in
     print_result bench r;
     print_sample_report r;
@@ -424,8 +385,8 @@ let run_cmd =
     Term.(
       const run $ benchmark_arg $ tiles_arg $ core_arg $ system_arg
       $ no_skip_arg $ shards_arg $ profile_arg $ trace_out_arg
-      $ metrics_out_arg $ trace_cache_arg $ sample_arg $ checkpoint_arg
-      $ checkpoint_at_arg $ resume_arg $ manifest_arg $ progress_arg)
+      $ metrics_out_arg $ trace_cache_arg $ sample_arg $ manifest_arg
+      $ progress_arg)
 
 let bench_cmd =
   let benches_arg =
@@ -854,22 +815,31 @@ let sweep_cmd =
     apply_manifest manifest;
     apply_trace_cache cache;
     if jobs > 1 && shards > 1 then
-      failwith
+      input_error "sweep"
         (Printf.sprintf
            "--jobs %d and --shards %d both parallelize; pick one" jobs shards);
+    let cfg =
+      apply_shards shards (apply_no_skip no_skip (system_of_string system))
+    in
+    let tile_config = core_of_string core in
+    let specs = match axes with [] -> Mosaic.Sweep.default_axes | a -> a in
+    let points =
+      try
+        let points =
+          Mosaic.Sweep.grid (List.map Mosaic.Sweep.axis_of_spec specs)
+        in
+        (* Level presence and the DRAM model depend on the system: apply
+           every edit once before anything is simulated. *)
+        List.iter (fun (_, edit) -> ignore (edit (cfg, tile_config))) points;
+        points
+      with Failure msg -> input_error "sweep" msg
+    in
     let inst = resolve_instance bench in
     let trace =
       obtain bench (fun () -> W.Runner.trace_cached inst ~ntiles:tiles)
     in
-    let cfg =
-      apply_shards shards (apply_no_skip no_skip (system_of_string system))
-    in
-    let specs = match axes with [] -> Mosaic.Sweep.default_axes | a -> a in
-    let points =
-      Mosaic.Sweep.grid (List.map Mosaic.Sweep.axis_of_spec specs)
-    in
     let o =
-      Mosaic.Sweep.run ~jobs ~exact cfg ~tile_config:(core_of_string core)
+      Mosaic.Sweep.run ~jobs ~exact cfg ~tile_config
         ~program:inst.W.Runner.program ~trace points
     in
     Table.print
@@ -1165,8 +1135,8 @@ let version_cmd =
   Cmd.v
     (Cmd.info "version"
        ~doc:
-         "Print the build's semantics, trace-format and snapshot-format \
-          versions, and the git revision when available")
+         "Print the build's semantics and trace-format versions, and the \
+          git revision when available")
     Term.(const run $ const ())
 
 let diff_cmd =

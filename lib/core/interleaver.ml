@@ -19,7 +19,6 @@ let pack ~dst ~chan = (dst lsl 20) lor chan
 type t = {
   capacity : int;
   wire_latency : int;
-  noc : Noc.t option;
   buffers : Int_table.t;  (** packed key -> index into [rings] *)
   mutable rings : Int_ring.t array;
   mutable nrings : int;
@@ -34,14 +33,13 @@ type t = {
   sink : Mosaic_obs.Sink.t;
 }
 
-let create ?(buffer_capacity = 512) ?(wire_latency = 1) ?noc
+let create ?(buffer_capacity = 512) ?(wire_latency = 1)
     ?(sink = Mosaic_obs.Sink.null) () =
   if buffer_capacity <= 0 then
     invalid_arg "Interleaver.create: buffer_capacity must be positive";
   {
     capacity = buffer_capacity;
     wire_latency;
-    noc;
     buffers = Int_table.create ~initial_capacity:16 ();
     rings = [||];
     nrings = 0;
@@ -88,11 +86,7 @@ let send t ~src ~dst ~chan ~cycle ~available =
   end
   else
     let q = buffer t ~dst ~chan in
-    let arrival =
-      match t.noc with
-      | Some noc -> Noc.delay noc ~src ~dst ~cycle:available
-      | None -> available + t.wire_latency
-    in
+    let arrival = available + t.wire_latency in
     if Int_ring.push q arrival then begin
       t.stats.sends <- t.stats.sends + 1;
       emit_handoff t ~src ~dst ~chan ~cycle;
@@ -189,46 +183,6 @@ let ff_set_channel t ~dst ~chan ~buffered ~owed ~sends ~recvs ~cycle =
   if t.occupancy > t.stats.max_occupancy then
     t.stats.max_occupancy <- t.occupancy
 
-(* --- Snapshot support ---
-
-   Ring indices are assigned in channel-creation order, so [buffers] and
-   [rings] are dumped together, slot for slot; [arrivals] keeps its exact
-   heap layout so post-restore wake-up hints match the straight run. *)
-
-type dump = {
-  d_buffers : Int_table.dump;
-  d_rings : Int_ring.dump array;
-  d_owed : Int_table.dump;
-  d_occupancy : int;
-  d_arrivals : Int_heap.dump;
-  d_stats : int array;
-}
-
-let dump t =
-  {
-    d_buffers = Int_table.dump t.buffers;
-    d_rings = Array.init t.nrings (fun i -> Int_ring.dump t.rings.(i));
-    d_owed = Int_table.dump t.owed;
-    d_occupancy = t.occupancy;
-    d_arrivals = Int_heap.dump t.arrivals;
-    d_stats =
-      [| t.stats.sends; t.stats.recvs; t.stats.send_stalls;
-         t.stats.max_occupancy |];
-  }
-
-let restore t d =
-  Int_table.restore t.buffers d.d_buffers;
-  let rings = Array.map Int_ring.of_dump d.d_rings in
-  t.rings <- rings;
-  t.nrings <- Array.length rings;
-  Int_table.restore t.owed d.d_owed;
-  t.occupancy <- d.d_occupancy;
-  Int_heap.restore t.arrivals d.d_arrivals;
-  t.stats.sends <- d.d_stats.(0);
-  t.stats.recvs <- d.d_stats.(1);
-  t.stats.send_stalls <- d.d_stats.(2);
-  t.stats.max_occupancy <- d.d_stats.(3)
-
 (* Publish the messaging counters under "inter.*" into a metrics
    registry; the report's memory table reads these. *)
 let publish t reg =
@@ -237,5 +191,4 @@ let publish t reg =
   c "inter.sends" t.stats.sends;
   c "inter.recvs" t.stats.recvs;
   c "inter.send_stalls" t.stats.send_stalls;
-  c "inter.max_occupancy" t.stats.max_occupancy;
-  Option.iter (fun noc -> Noc.publish noc reg) t.noc
+  c "inter.max_occupancy" t.stats.max_occupancy

@@ -15,14 +15,11 @@ type stats = {
 
 type t
 
-(** [create ~buffer_capacity ~wire_latency ?noc ()]. Capacity is per
-    (destination, channel) buffer; Table II uses 512 entries. When a
-    {!Noc} is supplied, message arrival times come from mesh routing and
-    link contention instead of the flat [wire_latency]. *)
+(** [create ~buffer_capacity ~wire_latency ()]. Capacity is per
+    (destination, channel) buffer; Table II uses 512 entries. *)
 val create :
   ?buffer_capacity:int ->
   ?wire_latency:int ->
-  ?noc:Noc.t ->
   ?sink:Mosaic_obs.Sink.t ->
   unit ->
   t
@@ -63,8 +60,8 @@ val capacity : t -> int
     cycle-skipping scheduler, never a gate. *)
 val next_arrival : t -> cycle:int -> int
 
-(** Publish the messaging counters under "inter.*" (and the NoC's under
-    "noc.*", when one is attached) into a metrics registry. *)
+(** Publish the messaging counters under "inter.*" into a metrics
+    registry. *)
 val publish : t -> Mosaic_obs.Metrics.t -> unit
 
 (** {1 Fast-forward}
@@ -89,11 +86,3 @@ val ff_set_channel :
   recvs:int ->
   cycle:int ->
   unit
-
-(** {1 Snapshots} — buffers, owed counters, in-flight arrivals and stats,
-    layout-exact. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

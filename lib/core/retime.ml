@@ -152,12 +152,7 @@ let pressure (tc : TC.t) (ts : Analysis.tile_skeleton) =
     /. float_of_int (Stdlib.max tc.TC.window_size 1))
 
 let comm_latency (cfg : Soc.config) (tc : TC.t) =
-  let net =
-    match cfg.Soc.noc with
-    | Some n -> n.Noc.hop_latency
-    | None -> cfg.Soc.wire_latency
-  in
-  float_of_int (net + tc.TC.comm_latency)
+  float_of_int (cfg.Soc.wire_latency + tc.TC.comm_latency)
 
 let accel_cycles (cfg : Soc.config) (ts : Analysis.tile_skeleton) =
   Array.fold_left

@@ -29,7 +29,6 @@ type config = {
   hierarchy : Hierarchy.config;
   buffer_capacity : int;
   wire_latency : int;
-  noc : Noc.config option;
   accel_sys : Accel_model.sys_params;
   accel_designs : (string * Accel_model.design_point) list;
   freq_ghz : float;
@@ -73,7 +72,6 @@ let default_config =
     hierarchy = default_hierarchy;
     buffer_capacity = 512;
     wire_latency = 1;
-    noc = None;
     accel_sys = Accel_model.default_sys;
     accel_designs =
       (* Modest design points for the SoC-integrated instances; wider
@@ -159,7 +157,7 @@ let accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle =
   { Core_tile.finish_cycle = finish; energy_pj }
 
 (* Register the run-level numbers into the metrics registry. Components
-   (hierarchy, interleaver, NoC) publish their own counters separately;
+   (hierarchy, interleaver) publish their own counters separately;
    together these are the registry view that [Report] renders from. *)
 let publish_result reg (r : result) =
   let c name v = Metrics.incr ~by:v (Metrics.counter reg name) in
@@ -219,12 +217,10 @@ let publish_result reg (r : result) =
       c ("mix." ^ Op.class_to_string cls) n)
     Op.all_classes
 
-let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
-    ?on_checkpoint ?resume ?sample ?progress cfg ~program ~trace ~tiles =
+let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
+    ~program ~trace ~tiles =
   let ntiles = Array.length tiles in
   if ntiles = 0 then invalid_arg "Soc.run: no tiles";
-  if sample <> None && (checkpoint_at <> None || resume <> None) then
-    invalid_arg "Soc.run: sampling cannot be combined with checkpoints";
   if ntiles <> trace.Trace.ntiles then
     invalid_arg
       (Printf.sprintf "Soc.run: %d tiles but trace has %d" ntiles
@@ -241,10 +237,9 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
     match metrics with Some r -> r | None -> Metrics.create ()
   in
   let hier = Hierarchy.create ~sink ~ntiles cfg.hierarchy in
-  let noc = Option.map (fun c -> Noc.create ~sink ~ntiles c) cfg.noc in
   let inter =
     Interleaver.create ~buffer_capacity:cfg.buffer_capacity
-      ~wire_latency:cfg.wire_latency ?noc ~sink ()
+      ~wire_latency:cfg.wire_latency ~sink ()
   in
   let mgr =
     {
@@ -387,68 +382,6 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
      once, so a per-step O(ntiles) [Array.for_all] rescan is unnecessary. *)
   let finished_count = ref 0 in
   let finished_flags = Array.make ntiles false in
-  (* --- Checkpoints --- *)
-  let capture () =
-    {
-      Snapshot.cycle = !cycle;
-      stepped = !stepped;
-      finished = Array.copy finished_flags;
-      kernels = Array.map (fun (s : tile_spec) -> s.kernel) tiles;
-      dyn_instrs =
-        Array.map (fun (tt : Trace.tile_trace) -> tt.Trace.dyn_instrs)
-          trace.Trace.tiles;
-      profiled = profile;
-      tiles = Array.map Core_tile.dump cores;
-      hier = Hierarchy.dump hier;
-      inter = Interleaver.dump inter;
-      noc = Option.map Noc.dump noc;
-      accel_active = Array.of_list mgr.active;
-      accel_invocations = mgr.invocations;
-      accel_energy_pj = mgr.energy_pj_total;
-      accel_busy = Array.copy mgr.busy_by_tile;
-    }
-  in
-  (match resume with
-  | None -> ()
-  | Some (s : Snapshot.t) ->
-      if Array.length s.Snapshot.tiles <> ntiles then
-        invalid_arg "Soc.run: snapshot tile count mismatch";
-      Array.iteri
-        (fun i (spec : tile_spec) ->
-          if not (String.equal s.Snapshot.kernels.(i) spec.kernel) then
-            invalid_arg "Soc.run: snapshot kernel mismatch")
-        tiles;
-      Array.iteri
-        (fun i (tt : Trace.tile_trace) ->
-          if s.Snapshot.dyn_instrs.(i) <> tt.Trace.dyn_instrs then
-            invalid_arg "Soc.run: snapshot taken from a different trace")
-        trace.Trace.tiles;
-      if s.Snapshot.profiled <> profile then
-        invalid_arg "Soc.run: snapshot profiling mode mismatch";
-      Array.iteri (fun i d -> Core_tile.restore cores.(i) d) s.Snapshot.tiles;
-      Hierarchy.restore hier s.Snapshot.hier;
-      Interleaver.restore inter s.Snapshot.inter;
-      (match (noc, s.Snapshot.noc) with
-      | Some n, Some d -> Noc.restore n d
-      | None, None -> ()
-      | _ -> invalid_arg "Soc.run: snapshot NoC presence mismatch");
-      mgr.active <- Array.to_list s.Snapshot.accel_active;
-      mgr.invocations <- s.Snapshot.accel_invocations;
-      mgr.energy_pj_total <- s.Snapshot.accel_energy_pj;
-      Array.blit s.Snapshot.accel_busy 0 mgr.busy_by_tile 0 ntiles;
-      Array.blit s.Snapshot.finished 0 finished_flags 0 ntiles;
-      finished_count :=
-        Array.fold_left (fun n f -> if f then n + 1 else n) 0 finished_flags;
-      cycle := s.Snapshot.cycle;
-      stepped := s.Snapshot.stepped);
-  let snapped = ref false in
-  let maybe_checkpoint ?(force = false) () =
-    match checkpoint_at with
-    | Some at when (not !snapped) && (force || !cycle >= at) ->
-        snapped := true;
-        (match on_checkpoint with Some f -> f (capture ()) | None -> ())
-    | _ -> ()
-  in
   (* --- Sampling --- *)
   let sampler =
     Option.map
@@ -522,7 +455,6 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
       failwith
         (Printf.sprintf "Soc.run: exceeded max_cycles=%d (deadlock?)"
            cfg.max_cycles);
-    maybe_checkpoint ();
     match sampler with Some d -> Sample.tick d ~cycle:!cycle | None -> ()
   in
   (* Per-shard sweep outcomes: each slot is written by its owner before
@@ -572,8 +504,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
        (* Skipped cycles are provably identical no-ops, so each tile's
           attribution over the stretch is its frozen last-swept-cycle
           cause; booking it keeps per-tile attribution bit-identical with
-          and without cycle skipping (and summing to [cycles]). Booked
-          before the next visit's checkpoint, so a snapshot carries it. *)
+          and without cycle skipping (and summing to [cycles]). *)
        if profile then begin
          let skipped = target - !cycle - 1 in
          if skipped > 0 then
@@ -621,19 +552,10 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
           Sync.barrier sync ~shard:k ~reduce:end_of_cycle
     done
   in
-  (* A run resumed from a snapshot taken after every tile finished has no
-     cycle left to sweep; sweeping one would book extra stepped cycles the
-     straight run never saw. *)
-  if !finished_count < ntiles then begin
-    loop_top ();
-    match sync with
-    | None -> sweep 0
-    | Some sync -> Mosaic_util.Shard_sync.run sync sweep
-  end;
-  (* A checkpoint requested at or past the final cycle captures the
-     end-of-run state (the loop top is never reached again), even
-     when the requested cycle lies beyond the run's last cycle. *)
-  maybe_checkpoint ~force:true ();
+  loop_top ();
+  (match sync with
+  | None -> sweep 0
+  | Some sync -> Mosaic_util.Shard_sync.run sync sweep);
   if sampling then emit_samples ();
   Span.end_span sim_span;
   (match (sync, Span.enabled ()) with
@@ -732,12 +654,11 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?checkpoint_at
   Interleaver.publish inter reg;
   r
 
-let run_homogeneous ?sink ?metrics ?profile ?checkpoint_at ?on_checkpoint
-    ?resume ?sample ?progress cfg ~program ~trace ~tile_config =
+let run_homogeneous ?sink ?metrics ?profile ?sample ?progress cfg ~program
+    ~trace ~tile_config =
   let tiles =
     Array.map
       (fun (tt : Trace.tile_trace) -> { kernel = tt.Trace.kernel; tile_config })
       trace.Trace.tiles
   in
-  run ?sink ?metrics ?profile ?checkpoint_at ?on_checkpoint ?resume ?sample
-    ?progress cfg ~program ~trace ~tiles
+  run ?sink ?metrics ?profile ?sample ?progress cfg ~program ~trace ~tiles

@@ -24,8 +24,6 @@ type config = {
   hierarchy : Mosaic_memory.Hierarchy.config;
   buffer_capacity : int;  (** inter-tile communication buffers *)
   wire_latency : int;
-  noc : Noc.config option;
-      (** when set, inter-tile messages ride the mesh NoC model *)
   accel_sys : Mosaic_accel.Accel_model.sys_params;
   accel_designs : (string * Mosaic_accel.Accel_model.design_point) list;
       (** design point instantiated per accelerator kind *)
@@ -97,7 +95,7 @@ type result = {
 
     An enabled [sink] receives the full event stream (instruction
     issue/retire, cache hits/misses/evictions, DRAM row activations,
-    interleaver handoffs, NoC hops, accelerator invocations); the default
+    interleaver handoffs, accelerator invocations); the default
     null sink costs nothing. [metrics] supplies the registry that tiles and
     memory publish into (a fresh one is created when absent); pass a fresh
     registry per run — metric names are registered once and duplicates
@@ -111,30 +109,14 @@ type result = {
     [Event.Stall_sample] counter-track events. Simulated cycle counts are
     bit-identical with profiling on or off.
 
-    {b Checkpoints.} [checkpoint_at:n] captures a {!Snapshot.t} at the
-    first visited cycle [>= n] (or at end of run when [n] is past it) and
-    hands it to [on_checkpoint]; capture happens before that cycle is
-    swept, so resuming reproduces the remainder bit-identically. [resume]
-    restores a snapshot before the first cycle: the run continues from
-    [Snapshot.cycle] and every final counter matches the straight run.
-    Resume validates tile count, kernels, trace identity (dynamic
-    instruction counts), profiling mode and NoC presence, raising
-    [Invalid_argument] on mismatch. Snapshots work under sharded execution
-    too: serial and sharded runs share one scheduler, so capture points
-    and the profile state they carry coincide.
-
     {b Sampling.} [sample:spec] turns on interval sampling
     ({!Sample.spec}): detailed measurement alternates with functional
     fast-forward, and [result.sample] carries the extrapolated cycle and
-    stall estimates. Sampled runs force [shards = 1] and cannot be
-    combined with checkpoints ([Invalid_argument]). *)
+    stall estimates. Sampled runs force [shards = 1]. *)
 val run :
   ?sink:Mosaic_obs.Sink.t ->
   ?metrics:Mosaic_obs.Metrics.t ->
   ?profile:bool ->
-  ?checkpoint_at:int ->
-  ?on_checkpoint:(Snapshot.t -> unit) ->
-  ?resume:Snapshot.t ->
   ?sample:Sample.spec ->
   ?progress:Mosaic_obs.Progress.t ->
   config ->
@@ -149,9 +131,6 @@ val run_homogeneous :
   ?sink:Mosaic_obs.Sink.t ->
   ?metrics:Mosaic_obs.Metrics.t ->
   ?profile:bool ->
-  ?checkpoint_at:int ->
-  ?on_checkpoint:(Snapshot.t -> unit) ->
-  ?resume:Snapshot.t ->
   ?sample:Sample.spec ->
   ?progress:Mosaic_obs.Progress.t ->
   config ->

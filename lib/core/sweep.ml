@@ -32,24 +32,28 @@ let with_level name cfg (sel : Hierarchy.config -> Cache.config option)
   | None -> failwith (Printf.sprintf "sweep axis %s: system has no %s" name name)
   | Some c -> { cfg with Soc.hierarchy = put h (f c) }
 
-let cache_size kb (c : Cache.config) =
-  { c with Cache.size_bytes = kb * 1024 }
+(* Geometry depends on the level's line size and associativity, so it is
+   checked here, against the config being edited. *)
+let cache_size name kb (c : Cache.config) =
+  try Cache.validate_config { c with Cache.size_bytes = kb * 1024 }
+  with Invalid_argument msg ->
+    failwith (Printf.sprintf "sweep axis %s=%d: %s" name kb msg)
 
 let int_edit name (v : int) : edit =
  fun (cfg, tc) ->
   match name with
-  | "l1" -> (with_l1 cfg (cache_size v), tc)
+  | "l1" -> (with_l1 cfg (cache_size name v), tc)
   | "l2" ->
       ( with_level "l2" cfg
           (fun h -> h.Hierarchy.l2)
           (fun h c -> { h with Hierarchy.l2 = Some c })
-          (cache_size v),
+          (cache_size name v),
         tc )
   | "llc" ->
       ( with_level "llc" cfg
           (fun h -> h.Hierarchy.llc)
           (fun h c -> { h with Hierarchy.llc = Some c })
-          (cache_size v),
+          (cache_size name v),
         tc )
   | "dramlat" ->
       let h = cfg.Soc.hierarchy in
@@ -85,19 +89,18 @@ let int_edit name (v : int) : edit =
   | "window" -> (cfg, { tc with TC.window_size = v })
   | "lsq" -> (cfg, { tc with TC.lsq_size = v })
   | "div" -> (cfg, { tc with TC.clock_divider = v })
-  | "freq" -> ({ cfg with Soc.freq_ghz = float_of_int v }, tc)
-  | _ ->
-      failwith
-        (Printf.sprintf
-           "unknown sweep axis %s \
-            (l1|l2|llc|dramlat|wire|plm|lanes|width|window|lsq|div|freq)"
-           name)
+  | _ -> invalid_arg ("Sweep.int_edit: unknown axis " ^ name)
 
-let float_edit name v : edit =
- fun (cfg, tc) ->
-  match name with
-  | "freq" -> ({ cfg with Soc.freq_ghz = v }, tc)
-  | _ -> int_edit name (int_of_float v) (cfg, tc)
+let freq_edit v : edit = fun (cfg, tc) -> ({ cfg with Soc.freq_ghz = v }, tc)
+
+(* Every integer axis and the least value it accepts. Sizes, latencies,
+   lanes and core knobs are positive; the Interleaver takes a zero-cycle
+   wire. [freq] is any positive GHz value. *)
+let int_axes =
+  [ ("l1", 1); ("l2", 1); ("llc", 1); ("dramlat", 1); ("wire", 0); ("plm", 1);
+    ("lanes", 1); ("width", 1); ("window", 1); ("lsq", 1); ("div", 1) ]
+
+let axis_names = List.map fst int_axes @ [ "freq" ]
 
 (* "l1=8,16,32,64" -> an axis of four labelled edits. Cache and PLM sizes
    are in KB, latencies in cycles, freq in GHz. *)
@@ -112,30 +115,32 @@ let axis_of_spec spec =
       let values = String.split_on_char ',' rest in
       if values = [] || rest = "" then
         failwith (Printf.sprintf "axis %s: no values" name);
-      let points =
-        List.map
-          (fun v ->
-            let label = Printf.sprintf "%s=%s" name v in
-            match int_of_string_opt v with
-            | Some n -> (label, int_edit name n)
-            | None -> (
-                match float_of_string_opt v with
-                | Some f -> (label, float_edit name f)
-                | None ->
-                    failwith
-                      (Printf.sprintf "axis %s: bad value %S" name v)))
-          values
-      in
-      (* Validate the axis name eagerly; level presence and geometry are
-         checked against the real config when the edit runs. *)
-      let known =
-        [ "l1"; "l2"; "llc"; "dramlat"; "wire"; "plm"; "lanes"; "width";
-          "window"; "lsq"; "div"; "freq" ]
-      in
-      if not (List.mem name known) then
+      let bad v expected =
         failwith
-          (Printf.sprintf "unknown sweep axis %s (%s)" name
-             (String.concat "|" known));
+          (Printf.sprintf "axis %s: bad value %S (expected %s)" name v expected)
+      in
+      (* Level presence, cache geometry and the DRAM model are checked
+         against the real config when the edit runs. *)
+      let edit =
+        match List.assoc_opt name int_axes with
+        | Some least -> (
+            fun v ->
+              match int_of_string_opt v with
+              | Some n when n >= least -> int_edit name n
+              | _ -> bad v (Printf.sprintf "an integer >= %d" least))
+        | None when name = "freq" -> (
+            fun v ->
+              match float_of_string_opt v with
+              | Some f when Float.is_finite f && f > 0.0 -> freq_edit f
+              | _ -> bad v "a positive number")
+        | None ->
+            failwith
+              (Printf.sprintf "unknown sweep axis %s (%s)" name
+                 (String.concat "|" axis_names))
+      in
+      let points =
+        List.map (fun v -> (Printf.sprintf "%s=%s" name v, edit v)) values
+      in
       { axis = name; points }
 
 (* Cartesian product of axes, first axis slowest. *)

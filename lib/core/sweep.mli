@@ -16,8 +16,9 @@ type edit = Soc.config * Mosaic_tile.Tile_config.t ->
 
 type axis = { axis : string; points : (string * edit) list }
 
-(** Parse ["name=v1,v2,..."]. Raises [Failure] on unknown axes or bad
-    values (validated eagerly). *)
+(** Parse ["name=v1,v2,..."]. Raises [Failure] on an unknown axis or a
+    value outside its range: [wire] takes integers [>= 0], [freq] any
+    finite positive number, every other axis integers [>= 1]. *)
 val axis_of_spec : string -> axis
 
 (** Cartesian product of axes; labels join as ["l1=8 llc=512"], first

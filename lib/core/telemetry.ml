@@ -2,7 +2,7 @@
    every host.* gauge into a run's registry, name the format versions,
    digest configs, and assemble manifests. Lives in mosaic (not
    mosaic_obs) because it reaches across layers — Span/Manifest from obs,
-   Store from trace, Soc/Snapshot from core. *)
+   Store from trace, Soc from core. *)
 
 module Metrics = Mosaic_obs.Metrics
 module Span = Mosaic_obs.Span
@@ -15,8 +15,6 @@ let versions () =
     ("semantics", Store.semantics_version);
     ( "trace_format",
       Printf.sprintf "%s v%d" Trace.magic Trace.format_version );
-    ( "snapshot_format",
-      Printf.sprintf "%s v%d" Snapshot.magic Snapshot.format_version );
   ]
 
 (* Soc.config and tile specs are plain data (records, variants, arrays —

@@ -7,8 +7,7 @@
     config digests for run identity. *)
 
 val versions : unit -> (string * string) list
-(** [semantics], [trace_format] (["MSTR v1"]), [snapshot_format]
-    (["MSNP v3"]). *)
+(** [semantics] and [trace_format] (["MSTR v1"]). *)
 
 val config_digest : Soc.config -> tiles:Soc.tile_spec array -> string
 (** Hex MD5 of the structural (Marshal, no-sharing) image of the design

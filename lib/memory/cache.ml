@@ -337,68 +337,6 @@ let warm t ~addr ~is_write =
    demand-path invalidations. *)
 let drop = remove
 
-(* --- Snapshot support --- *)
-
-type dump = {
-  d_assoc : int;
-  d_set_base : int array;
-  d_set_ways : int array;
-  d_tags : int array;  (** the pool's used prefix *)
-  d_dirty : Bytes.t;
-  d_lru : int array;
-  d_clock : int;
-  d_mshr : Int_table.dump;
-  d_mshr_expiry : Int_heap.dump;
-  d_stats : int array;  (** the 9 counters, field order of [stats] *)
-  d_pf : Prefetcher.dump option;
-}
-
-let dump t =
-  {
-    d_assoc = t.cfg.assoc;
-    d_set_base = Array.copy t.set_base;
-    d_set_ways = Array.copy t.set_ways;
-    d_tags = Array.sub t.tags 0 t.used;
-    d_dirty = Bytes.sub t.dirty 0 t.used;
-    d_lru = Array.sub t.lru 0 t.used;
-    d_clock = t.clock;
-    d_mshr = Int_table.dump t.mshr;
-    d_mshr_expiry = Int_heap.dump t.mshr_expiry;
-    d_stats =
-      [|
-        t.stats.accesses; t.stats.hits; t.stats.misses; t.stats.evictions;
-        t.stats.writebacks; t.stats.prefetches_issued; t.stats.mshr_merges;
-        t.stats.mshr_stalls; t.stats.invalidations;
-      |];
-    d_pf = Option.map Prefetcher.dump t.pf;
-  }
-
-let restore t d =
-  if d.d_assoc <> t.cfg.assoc || Array.length d.d_set_ways <> t.nsets then
-    invalid_arg (Printf.sprintf "Cache.restore(%s): geometry mismatch" t.cname);
-  Array.blit d.d_set_base 0 t.set_base 0 t.nsets;
-  Array.blit d.d_set_ways 0 t.set_ways 0 t.nsets;
-  t.tags <- Array.copy d.d_tags;
-  t.dirty <- Bytes.copy d.d_dirty;
-  t.lru <- Array.copy d.d_lru;
-  t.used <- Array.length d.d_tags;
-  t.clock <- d.d_clock;
-  Int_table.restore t.mshr d.d_mshr;
-  Int_heap.restore t.mshr_expiry d.d_mshr_expiry;
-  t.stats.accesses <- d.d_stats.(0);
-  t.stats.hits <- d.d_stats.(1);
-  t.stats.misses <- d.d_stats.(2);
-  t.stats.evictions <- d.d_stats.(3);
-  t.stats.writebacks <- d.d_stats.(4);
-  t.stats.prefetches_issued <- d.d_stats.(5);
-  t.stats.mshr_merges <- d.d_stats.(6);
-  t.stats.mshr_stalls <- d.d_stats.(7);
-  t.stats.invalidations <- d.d_stats.(8);
-  match (t.pf, d.d_pf) with
-  | Some pf, Some pd -> Prefetcher.restore pf pd
-  | None, None -> ()
-  | _ -> invalid_arg (Printf.sprintf "Cache.restore(%s): prefetcher mismatch" t.cname)
-
 (* Publish this cache's counters into a metrics registry under
    "cache.<name>.*" (e.g. cache.l1.0.hits). *)
 let publish t reg =

@@ -100,12 +100,3 @@ val drop : t -> addr:int -> [ `Absent | `Clean | `Dirty ]
 (** Publish this cache's counters under "cache.<name>.*" into a metrics
     registry. *)
 val publish : t -> Mosaic_obs.Metrics.t -> unit
-
-(** {1 Snapshots} — tags/dirty/LRU, MSHR table and expiry heap, stats and
-    prefetcher state. [restore] raises [Invalid_argument] on a geometry or
-    prefetcher-presence mismatch. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

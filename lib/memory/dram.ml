@@ -172,45 +172,6 @@ let stats t = t.stats
 
 let name t = match t.model with Simple _ -> "simple" | Detailed _ -> "detailed"
 
-(* --- Snapshot support --- *)
-
-type model_dump =
-  | D_simple of Mosaic_util.Int_table.dump * int  (** epoch table, oldest *)
-  | D_detailed of int array * int array  (** bank_avail, bank_open_row *)
-
-type dump = { d_model : model_dump; d_stats : int array }
-
-let dump t =
-  {
-    d_model =
-      (match t.model with
-      | Simple st -> D_simple (Int_table.dump st.epoch_used, st.oldest_epoch)
-      | Detailed st ->
-          D_detailed (Array.copy st.bank_avail, Array.copy st.bank_open_row));
-    d_stats =
-      [|
-        t.stats.reads; t.stats.writes; t.stats.busy_returns; t.stats.row_hits;
-        t.stats.row_misses;
-      |];
-  }
-
-let restore t d =
-  (match (t.model, d.d_model) with
-  | Simple st, D_simple (tbl, oldest) ->
-      Int_table.restore st.epoch_used tbl;
-      st.oldest_epoch <- oldest
-  | Detailed st, D_detailed (avail, rows) ->
-      if Array.length avail <> Array.length st.bank_avail then
-        invalid_arg "Dram.restore: bank count mismatch";
-      Array.blit avail 0 st.bank_avail 0 (Array.length avail);
-      Array.blit rows 0 st.bank_open_row 0 (Array.length rows)
-  | _ -> invalid_arg "Dram.restore: model mismatch");
-  t.stats.reads <- d.d_stats.(0);
-  t.stats.writes <- d.d_stats.(1);
-  t.stats.busy_returns <- d.d_stats.(2);
-  t.stats.row_hits <- d.d_stats.(3);
-  t.stats.row_misses <- d.d_stats.(4)
-
 (* Publish the end-of-run counters into a metrics registry; the report and
    the CSV/JSON exporters read these rather than the raw record. *)
 let publish t reg =

@@ -65,11 +65,3 @@ val name : t -> string
 
 (** Publish end-of-run counters under "dram.*" into a metrics registry. *)
 val publish : t -> Mosaic_obs.Metrics.t -> unit
-
-(** {1 Snapshots} — contention state (epoch table / bank timings) and
-    stats. [restore] raises [Invalid_argument] on a model mismatch. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -389,45 +389,6 @@ let l2_hit_rate t = level_hit_rate t.l2s
 let llc_hit_rate t =
   match t.llc with Some c -> Cache.hit_rate c | None -> 0.0
 
-(* --- Snapshot support --- *)
-
-type dump = {
-  d_l1s : Cache.dump array;
-  d_l2s : Cache.dump array;
-  d_llc : Cache.dump option;
-  d_dram : Dram.dump;
-  d_sharers : Int_table.dump;
-  d_modified : Int_table.dump;
-  d_inval_msgs : int;
-}
-
-let dump t =
-  {
-    d_l1s = Array.map Cache.dump t.l1s;
-    d_l2s = Array.map Cache.dump t.l2s;
-    d_llc = Option.map Cache.dump t.llc;
-    d_dram = Dram.dump t.dram;
-    d_sharers = Int_table.dump t.sharers;
-    d_modified = Int_table.dump t.modified;
-    d_inval_msgs = t.inval_msgs;
-  }
-
-let restore t d =
-  if
-    Array.length d.d_l1s <> Array.length t.l1s
-    || Array.length d.d_l2s <> Array.length t.l2s
-    || Option.is_some d.d_llc <> Option.is_some t.llc
-  then invalid_arg "Hierarchy.restore: topology mismatch";
-  Array.iteri (fun i c -> Cache.restore c d.d_l1s.(i)) t.l1s;
-  Array.iteri (fun i c -> Cache.restore c d.d_l2s.(i)) t.l2s;
-  (match (t.llc, d.d_llc) with
-  | Some c, Some cd -> Cache.restore c cd
-  | _ -> ());
-  Dram.restore t.dram d.d_dram;
-  Int_table.restore t.sharers d.d_sharers;
-  Int_table.restore t.modified d.d_modified;
-  t.inval_msgs <- d.d_inval_msgs
-
 (* Publish every cache, the DRAM model and the level totals into a metrics
    registry. *)
 let publish t reg =

@@ -117,11 +117,3 @@ val llc_hit_rate : t -> float
 (** Publish every cache ("cache.<name>.*"), the DRAM model ("dram.*") and
     the level totals ("mem.*") into a metrics registry. *)
 val publish : t -> Mosaic_obs.Metrics.t -> unit
-
-(** {1 Snapshots} — every cache level, the DRAM model and the directory.
-    [restore] raises [Invalid_argument] on a topology mismatch. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

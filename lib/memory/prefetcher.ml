@@ -99,33 +99,3 @@ let observe t ~addr ~line_size =
     end
   end;
   t.scratch
-
-(* Snapshot: stream table (4 ints per entry, flattened) plus the LRU tick.
-   [scratch] is per-call state and starts empty. *)
-
-type dump = { d_streams : int array; d_tick : int }
-
-let dump t =
-  let n = Array.length t.streams in
-  let flat = Array.make (4 * n) 0 in
-  Array.iteri
-    (fun i s ->
-      flat.(4 * i) <- s.last;
-      flat.((4 * i) + 1) <- s.stride;
-      flat.((4 * i) + 2) <- s.confidence;
-      flat.((4 * i) + 3) <- s.lru)
-    t.streams;
-  { d_streams = flat; d_tick = t.tick }
-
-let restore t d =
-  let n = Array.length t.streams in
-  if Array.length d.d_streams <> 4 * n then
-    invalid_arg "Prefetcher.restore: table size mismatch";
-  Array.iteri
-    (fun i s ->
-      s.last <- d.d_streams.(4 * i);
-      s.stride <- d.d_streams.((4 * i) + 1);
-      s.confidence <- d.d_streams.((4 * i) + 2);
-      s.lru <- d.d_streams.((4 * i) + 3))
-    t.streams;
-  t.tick <- d.d_tick

@@ -27,11 +27,3 @@ val observe : t -> addr:int -> line_size:int -> Mosaic_util.Int_vec.t
 
 (** Streams currently confirmed (for tests/inspection). *)
 val active_streams : t -> int
-
-(** {1 Snapshots} — stream table and LRU tick. [restore] raises
-    [Invalid_argument] when the table sizes differ. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -11,7 +11,6 @@ type payload =
   | Cache_access of { cache : string; outcome : cache_outcome }
   | Dram_row_activate of { bank : int; row : int }
   | Interleaver_handoff of { src : int; dst : int; chan : int }
-  | Noc_hop of { src : int; dst : int; hops : int }
   | Accel_invoke of { tile : int; kind : string; cycles : int }
   | Stall_sample of { tile : int; counts : int array }
 
@@ -31,12 +30,11 @@ let name e =
   | Cache_access { outcome; _ } -> outcome_to_string outcome
   | Dram_row_activate _ -> "row_activate"
   | Interleaver_handoff _ -> "handoff"
-  | Noc_hop _ -> "hop"
   | Accel_invoke { kind; _ } -> kind
   | Stall_sample _ -> "stalls"
 
 (* Track (Chrome trace thread) the event belongs to: one per tile, one per
-   cache level, and one each for DRAM, the interleaver and the NoC. *)
+   cache level, and one each for DRAM, the interleaver and accelerators. *)
 let track e =
   match e.payload with
   | Instr_issue { tile; _ } | Instr_retire { tile; _ } | Stall_sample { tile; _ }
@@ -50,5 +48,4 @@ let track e =
       | None -> cache)
   | Dram_row_activate _ -> "dram"
   | Interleaver_handoff _ -> "interleaver"
-  | Noc_hop _ -> "noc"
   | Accel_invoke _ -> "accel"

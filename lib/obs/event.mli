@@ -20,7 +20,6 @@ type payload =
       (** Access to cache [cache] (e.g. ["l1.0"], ["llc"]). *)
   | Dram_row_activate of { bank : int; row : int }
   | Interleaver_handoff of { src : int; dst : int; chan : int }
-  | Noc_hop of { src : int; dst : int; hops : int }
   | Accel_invoke of { tile : int; kind : string; cycles : int }
       (** Accelerator invocation with a known duration in [cycles]. *)
   | Stall_sample of { tile : int; counts : int array }
@@ -38,4 +37,4 @@ val name : t -> string
 val track : t -> string
 (** Track (Chrome trace thread) the event belongs to: one per tile
     ("tile.N"), one per cache level, and one each for DRAM, the
-    interleaver, the NoC and accelerators. *)
+    interleaver and accelerators. *)

@@ -127,26 +127,6 @@ let hist_quantile h q =
     find 0
   end
 
-(* --- Snapshots ---
-
-   Only histograms mutate *during* a run (components publish counters at
-   the end), so the snapshot layer dumps and restores individual histogram
-   state: bucket tree, count and the sum/min/max scratch. *)
-
-type hist_dump = { hd_buckets : Fenwick.dump; hd_count : int; hd_fstate : float array }
-
-let hist_dump h =
-  {
-    hd_buckets = Fenwick.dump h.buckets;
-    hd_count = h.hcount;
-    hd_fstate = Array.copy h.fstate;
-  }
-
-let hist_restore h d =
-  Fenwick.restore h.buckets d.hd_buckets;
-  h.hcount <- d.hd_count;
-  Array.blit d.hd_fstate 0 h.fstate 0 3
-
 (* --- Lookup --- *)
 
 let find t name = Hashtbl.find_opt t.tbl name

@@ -57,16 +57,6 @@ val hist_quantile : histogram -> float -> float
     the observed max. Empty histograms report [0.] rather than raising.
     Raises [Invalid_argument] unless [0. <= q <= 1.]. *)
 
-(** {1 Snapshots}
-
-    Only histograms mutate during a run (components publish counters at the
-    end), so checkpointing dumps and restores individual histogram state. *)
-
-type hist_dump
-
-val hist_dump : histogram -> hist_dump
-val hist_restore : histogram -> hist_dump -> unit
-
 (** {1 Lookup} *)
 
 val find : t -> string -> metric option

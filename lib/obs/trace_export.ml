@@ -1,6 +1,6 @@
 (* Chrome trace-event exporter: turns a recorded event stream into JSON
    loadable in chrome://tracing or Perfetto. Tracks (trace "threads") are
-   one per tile plus one per cache level, DRAM, interleaver, NoC and
+   one per tile plus one per cache level, DRAM, interleaver and
    accelerator; everything lives in a single process 0. Timestamps are
    simulation cycles. *)
 
@@ -25,8 +25,6 @@ let args_of_event (e : Event.t) =
       [ ("bank", Json.Int bank); ("row", Json.Int row) ]
   | Event.Interleaver_handoff { src; dst; chan } ->
       [ ("src", Json.Int src); ("dst", Json.Int dst); ("chan", Json.Int chan) ]
-  | Event.Noc_hop { src; dst; hops } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst); ("hops", Json.Int hops) ]
   | Event.Accel_invoke { tile; kind; cycles } ->
       [
         ("tile", Json.Int tile);

@@ -204,7 +204,7 @@ type t = {
   mutable pending_mispredict : bool;
   mutable launch_enabled : bool;
       (** cleared while the sampling driver drains the pipeline to a
-          snapshot-able quiescent point; never part of a snapshot *)
+          quiescent point *)
   mutable trace_done : bool;
   mutable done_ : bool;
   stats : stats;
@@ -1010,227 +1010,3 @@ let ff_commit t ~instrs ~dbbs ~mem_accesses ~by_class ~accel_energy_pj =
   Array.fill t.last_writer 0 (Array.length t.last_writer) (-1);
   t.lt_seq <- -1;
   t.pending_mispredict <- false
-
-(* --- Snapshots ---
-
-   The window [window_start, next_seq) is dumped slot by slot in seq
-   order, with each slot's cross-block dependents in list order; slots
-   below the window have completed and nothing reads them. Instruction
-   identity is (DBB, position in block) — the static program and its
-   templates are rebuilt from the workload on restore, never serialized. *)
-
-type dbb_dump = { bd_seq : int; bd_bid : int; bd_incomplete : int }
-
-type dump = {
-  d_cursor : Trace.Cursor.dump;
-  d_window_start : int;
-  d_next_seq : int;
-  d_next_issue : int;
-  d_pos : int array;  (** per window slot: position within its block *)
-  d_state : int array;
-  d_parents : int array;
-  d_addr : int array;
-  d_accel_params : Value.t array array;  (** [||] except accelerator calls *)
-  d_send_dst : int array;
-  d_dbb : int array;  (** owning DBB's seq *)
-  d_dependents : int array array;  (** cross-block dependents, list order *)
-  d_dbbs : dbb_dump array;  (** the DBBs window slots belong to *)
-  d_ready : int array;
-  d_stash : int array;
-  d_events : Int_heap.dump;
-  d_mao : Mao.dump;
-  d_mao_release : Int_heap.dump;
-  d_last_writer : int array;  (** per register: writer seq or -1 *)
-  d_fu_busy : int array;
-  d_live_dbbs : int;
-  d_live_per_bb : int array;
-  d_last_term : int array;
-      (** seq (-1 for none), block id, position, completion cycle *)
-  d_predictor : Predictor.dump option;
-  d_pending_mispredict : bool;
-  d_trace_done : bool;
-  d_done : bool;
-  d_stats : int array;
-      (** completed_instrs, finish_cycle, dbbs_launched, mem_accesses,
-          branch predictions, branch mispredictions *)
-  d_energy_pj : float;
-  d_issued_by_class : int array;
-  d_prof : Profile.dump;
-  d_lat_hist : Mosaic_obs.Metrics.hist_dump option;
-}
-
-let dump t =
-  let ws = t.window_start in
-  let n = t.next_seq - ws in
-  let slot i = (ws + i) land t.mask in
-  let per f = Array.init n (fun i -> f (slot i)) in
-  let dependents s =
-    let rec collect e acc =
-      if e < 0 then List.rev acc
-      else collect t.e_next.(e) (t.e_target.(e) :: acc)
-    in
-    Array.of_list (collect t.r_deps.(s) [])
-  in
-  let dbbs =
-    Array.to_list (per (fun s -> t.r_dbb.(s)))
-    |> List.sort_uniq compare
-    |> List.map (fun d ->
-           {
-             bd_seq = d;
-             bd_bid = t.d_bid.(d land t.mask);
-             bd_incomplete = t.d_incomplete.(d land t.mask);
-           })
-    |> Array.of_list
-  in
-  {
-    d_cursor = Trace.Cursor.dump t.cursor;
-    d_window_start = ws;
-    d_next_seq = t.next_seq;
-    d_next_issue = t.next_issue;
-    d_pos = per (fun s -> t.tpl.pos.(t.r_g.(s)));
-    d_state = per (fun s -> t.r_state.(s));
-    d_parents = per (fun s -> t.r_parents.(s));
-    d_addr = per (fun s -> t.r_addr.(s));
-    d_accel_params =
-      per (fun s ->
-          if t.tpl.kind.(t.r_g.(s)) = k_accel then Array.copy t.r_accel.(s)
-          else [||]);
-    d_send_dst = per (fun s -> t.r_send_dst.(s));
-    d_dbb = per (fun s -> t.r_dbb.(s));
-    d_dependents = per dependents;
-    d_dbbs = dbbs;
-    d_ready = Array.sub t.ready_arr 0 t.ready_len;
-    d_stash = Array.sub t.stash 0 t.stash_len;
-    d_events = Int_heap.dump t.events;
-    d_mao = Mao.dump t.mao;
-    d_mao_release = Int_heap.dump t.mao_release;
-    d_last_writer = Array.copy t.last_writer;
-    d_fu_busy = Array.copy t.fu_busy;
-    d_live_dbbs = t.live_dbbs;
-    d_live_per_bb = Array.copy t.live_per_bb;
-    d_last_term =
-      (if t.lt_seq < 0 then [| -1; 0; 0; -1 |]
-       else
-         [| t.lt_seq; t.tpl.bid.(t.lt_g); t.tpl.pos.(t.lt_g); t.lt_complete |]);
-    d_predictor = Option.map Predictor.dump t.predictor;
-    d_pending_mispredict = t.pending_mispredict;
-    d_trace_done = t.trace_done;
-    d_done = t.done_;
-    d_stats =
-      [|
-        t.stats.completed_instrs; t.stats.finish_cycle; t.stats.dbbs_launched;
-        t.stats.mem_accesses; t.stats.branch.Branch.predictions;
-        t.stats.branch.Branch.mispredictions;
-      |];
-    d_energy_pj = t.energy.(0);
-    d_issued_by_class = Array.copy t.stats.issued_by_class;
-    d_prof = Profile.dump t.prof;
-    d_lat_hist = Option.map Mosaic_obs.Metrics.hist_dump t.lat_hist;
-  }
-
-let restore t d =
-  let bad msg = invalid_arg ("Core_tile.restore: " ^ msg) in
-  if Array.length d.d_last_writer <> Array.length t.last_writer then
-    bad "register-file size mismatch";
-  if Array.length d.d_live_per_bb <> Array.length t.live_per_bb then
-    bad "block count mismatch";
-  let ws = d.d_window_start in
-  let n = d.d_next_seq - ws in
-  if n < 0 || n > t.mask + 1 then bad "window does not fit the slot ring";
-  List.iter
-    (fun a ->
-      if Array.length a <> n then bad "window arrays disagree in length")
-    [ d.d_pos; d.d_state; d.d_parents; d.d_addr; d.d_send_dst; d.d_dbb ];
-  if Array.length d.d_accel_params <> n || Array.length d.d_dependents <> n
-  then bad "window arrays disagree in length";
-  let in_window seq =
-    if seq < ws || seq >= d.d_next_seq then
-      bad (Printf.sprintf "seq %d outside the window" seq)
-  in
-  let nblocks = Array.length t.tpl.base in
-  let template ~bid ~pos =
-    if bid < 0 || bid >= nblocks || pos < 0 || pos >= t.tpl.len.(bid) then
-      bad "instruction outside the program";
-    t.tpl.base.(bid) + pos
-  in
-  Trace.Cursor.restore t.cursor d.d_cursor;
-  let bids = Hashtbl.create 64 in
-  Array.iter
-    (fun b ->
-      let x = b.bd_seq land t.mask in
-      t.d_bid.(x) <- b.bd_bid;
-      t.d_incomplete.(x) <- b.bd_incomplete;
-      Hashtbl.replace bids b.bd_seq b.bd_bid)
-    d.d_dbbs;
-  (* A fresh edge pool; the window's lists are rebuilt below. *)
-  t.e_target <- [||];
-  t.e_next <- [||];
-  t.e_free <- -1;
-  t.window_start <- ws;
-  t.next_seq <- d.d_next_seq;
-  t.next_issue <- d.d_next_issue;
-  for i = 0 to n - 1 do
-    let s = (ws + i) land t.mask in
-    let bid =
-      match Hashtbl.find_opt bids d.d_dbb.(i) with
-      | Some b -> b
-      | None -> bad "slot references an unknown DBB"
-    in
-    t.r_g.(s) <- template ~bid ~pos:d.d_pos.(i);
-    if d.d_state.(i) < st_waiting || d.d_state.(i) > st_completed then
-      bad (Printf.sprintf "bad slot state code %d" d.d_state.(i));
-    t.r_state.(s) <- d.d_state.(i);
-    t.r_parents.(s) <- d.d_parents.(i);
-    t.r_addr.(s) <- d.d_addr.(i);
-    t.r_accel.(s) <- Array.copy d.d_accel_params.(i);
-    t.r_send_dst.(s) <- d.d_send_dst.(i);
-    t.r_dbb.(s) <- d.d_dbb.(i);
-    t.r_deps.(s) <- -1;
-    let deps = d.d_dependents.(i) in
-    for j = Array.length deps - 1 downto 0 do
-      in_window deps.(j);
-      push_dependent t s deps.(j)
-    done
-  done;
-  Array.iter in_window d.d_ready;
-  Array.iter in_window d.d_stash;
-  let with_room a = Array.append a (Array.make 8 0) in
-  t.ready_arr <- with_room d.d_ready;
-  t.ready_len <- Array.length d.d_ready;
-  t.stash <- with_room d.d_stash;
-  t.stash_len <- Array.length d.d_stash;
-  Int_heap.restore t.events d.d_events;
-  Mao.restore t.mao d.d_mao;
-  Int_heap.restore t.mao_release d.d_mao_release;
-  Array.blit d.d_last_writer 0 t.last_writer 0 (Array.length t.last_writer);
-  Array.blit d.d_fu_busy 0 t.fu_busy 0 (Array.length t.fu_busy);
-  t.live_dbbs <- d.d_live_dbbs;
-  Array.blit d.d_live_per_bb 0 t.live_per_bb 0 (Array.length t.live_per_bb);
-  (match d.d_last_term with
-  | [| seq; bid; pos; complete |] ->
-      t.lt_seq <- seq;
-      t.lt_g <- (if seq < 0 then 0 else template ~bid ~pos);
-      t.lt_complete <- complete
-  | _ -> bad "malformed last terminator");
-  (match (t.predictor, d.d_predictor) with
-  | Some p, Some pd -> Predictor.restore p pd
-  | None, None -> ()
-  | _ -> bad "branch-predictor mismatch");
-  t.pending_mispredict <- d.d_pending_mispredict;
-  t.launch_enabled <- true;
-  t.trace_done <- d.d_trace_done;
-  t.done_ <- d.d_done;
-  t.stats.completed_instrs <- d.d_stats.(0);
-  t.stats.finish_cycle <- d.d_stats.(1);
-  t.stats.dbbs_launched <- d.d_stats.(2);
-  t.stats.mem_accesses <- d.d_stats.(3);
-  t.stats.branch.Branch.predictions <- d.d_stats.(4);
-  t.stats.branch.Branch.mispredictions <- d.d_stats.(5);
-  t.energy.(0) <- d.d_energy_pj;
-  Array.blit d.d_issued_by_class 0 t.stats.issued_by_class 0
-    (Array.length t.stats.issued_by_class);
-  Profile.restore t.prof d.d_prof;
-  match (t.lat_hist, d.d_lat_hist) with
-  | Some h, Some hd -> Mosaic_obs.Metrics.hist_restore h hd
-  | None, None -> ()
-  | _ -> bad "latency-histogram mismatch"

@@ -114,7 +114,7 @@ val ipc : t -> float
     commit the skipped work. *)
 
 (** Enable/disable DBB launching; disabled while draining to a quiescent
-    point. Always re-enabled by [restore]. *)
+    point. *)
 val set_launch_enabled : t -> bool -> unit
 
 (** No in-flight nodes, completion events, or deferred MAO releases — the
@@ -144,15 +144,3 @@ val ff_commit :
   by_class:int array ->
   accel_energy_pj:float ->
   unit
-
-(** {1 Snapshots} — the full timing state of the tile: the instruction
-    window slot by slot with its cross-block dependents, the DBBs it
-    belongs to, ready lists and heaps, MAO, predictor, profile and
-    counters. The static program is rebuilt from the workload
-    on restore, never serialized. [restore] raises [Invalid_argument] when
-    the dump does not match the tile's program or configuration shape. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -201,50 +201,3 @@ let occupancy t =
   !n
 
 let stalls t = t.stall_count
-
-(* --- Snapshot support ---
-
-   Ring arrays verbatim (slot = abs land mask, so layout is fixed by
-   [head]/[tail] and array length) plus the seq index table. The lazy
-   [can_issue] snapshot is not dumped: restore marks it dirty and it is
-   rebuilt deterministically on first use. *)
-
-type dump = {
-  d_seqs : int array;
-  d_stores : bool array;
-  d_addrs : int array;
-  d_sizes : int array;
-  d_resolved : bool array;
-  d_completed : bool array;
-  d_head : int;
-  d_tail : int;
-  d_index : Int_table.dump;
-  d_stall_count : int;
-}
-
-let dump t =
-  {
-    d_seqs = Array.copy t.seqs;
-    d_stores = Array.copy t.stores;
-    d_addrs = Array.copy t.addrs;
-    d_sizes = Array.copy t.sizes;
-    d_resolved = Array.copy t.resolved;
-    d_completed = Array.copy t.completed;
-    d_head = t.head;
-    d_tail = t.tail;
-    d_index = Int_table.dump t.index;
-    d_stall_count = t.stall_count;
-  }
-
-let restore t d =
-  t.seqs <- Array.copy d.d_seqs;
-  t.stores <- Array.copy d.d_stores;
-  t.addrs <- Array.copy d.d_addrs;
-  t.sizes <- Array.copy d.d_sizes;
-  t.resolved <- Array.copy d.d_resolved;
-  t.completed <- Array.copy d.d_completed;
-  t.head <- d.d_head;
-  t.tail <- d.d_tail;
-  Int_table.restore t.index d.d_index;
-  t.stall_count <- d.d_stall_count;
-  t.snap_dirty <- true

@@ -37,11 +37,3 @@ val occupancy : t -> int
 
 (** Number of issue rejections due to ordering or capacity (for stats). *)
 val stalls : t -> int
-
-(** {1 Snapshots} — ring contents and seq index verbatim; the lazy issue
-    snapshot is rebuilt on first use after [restore]. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -62,32 +62,6 @@ let train t ~branch_id (term : Instr.t) ~actual =
 
 let stats t = (t.predictions, t.mispredictions)
 
-(* Snapshot: counters plus history and accuracy counts ([kind]/[mask] are
-   configuration, re-supplied by the restored tile's config). *)
-
-type dump = {
-  d_counters : int array;
-  d_history : int;
-  d_predictions : int;
-  d_mispredictions : int;
-}
-
-let dump t =
-  {
-    d_counters = Array.copy t.counters;
-    d_history = t.history;
-    d_predictions = t.predictions;
-    d_mispredictions = t.mispredictions;
-  }
-
-let restore t d =
-  if Array.length d.d_counters <> Array.length t.counters then
-    invalid_arg "Predictor.restore: table size mismatch";
-  Array.blit d.d_counters 0 t.counters 0 (Array.length t.counters);
-  t.history <- d.d_history;
-  t.predictions <- d.d_predictions;
-  t.mispredictions <- d.d_mispredictions
-
 (* Functional training for the fast-forward path: observe the outcome of
    [term] at [branch_id] going to [actual], updating counters/history but
    not the accuracy counts (fast-forwarded branches are not predictions —

@@ -30,11 +30,3 @@ val stats : t -> int * int
 (** [observe t ~branch_id term ~actual] trains counters/history on a
     fast-forwarded branch without counting it as a prediction. *)
 val observe : t -> branch_id:int -> Mosaic_ir.Instr.t -> actual:int -> unit
-
-(** {1 Snapshots} — counter table, history and accuracy counts. [restore]
-    raises [Invalid_argument] when table sizes differ (config mismatch). *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -151,46 +151,3 @@ let instr_count t ~iid cause =
 
 let nblocks t = t.nblocks
 let ninstrs t = t.ninstrs
-
-(* --- Snapshot support ---
-
-   Counter arrays plus the scratch/frozen attribution fields; the [null]
-   profile dumps (and restores from) an empty image so plain runs
-   round-trip for free. *)
-
-type dump = {
-  d_causes : int array;
-  d_by_bb : int array;
-  d_by_instr : int array;
-  d_scratch : int array;  (** fail/last cause-iid-bid, 6 slots *)
-}
-
-let dump t =
-  {
-    d_causes = Array.copy t.causes;
-    d_by_bb = Array.copy t.by_bb;
-    d_by_instr = Array.copy t.by_instr;
-    d_scratch =
-      [|
-        t.fail_cause; t.fail_iid; t.fail_bid; t.last_cause; t.last_iid;
-        t.last_bid;
-      |];
-  }
-
-let restore t d =
-  if
-    Array.length d.d_causes <> Array.length t.causes
-    || Array.length d.d_by_bb <> Array.length t.by_bb
-    || Array.length d.d_by_instr <> Array.length t.by_instr
-  then invalid_arg "Profile.restore: shape mismatch";
-  Array.blit d.d_causes 0 t.causes 0 (Array.length t.causes);
-  Array.blit d.d_by_bb 0 t.by_bb 0 (Array.length t.by_bb);
-  Array.blit d.d_by_instr 0 t.by_instr 0 (Array.length t.by_instr);
-  if t.enabled then begin
-    t.fail_cause <- d.d_scratch.(0);
-    t.fail_iid <- d.d_scratch.(1);
-    t.fail_bid <- d.d_scratch.(2);
-    t.last_cause <- d.d_scratch.(3);
-    t.last_iid <- d.d_scratch.(4);
-    t.last_bid <- d.d_scratch.(5)
-  end

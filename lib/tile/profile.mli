@@ -79,11 +79,3 @@ val bb_count : t -> bid:int -> Stall.cause -> int
 val instr_count : t -> iid:int -> Stall.cause -> int
 val nblocks : t -> int
 val ninstrs : t -> int
-
-(** {1 Snapshots} — counters plus the scratch/frozen attribution. The
-    [null] profile dumps an empty image and restores as a no-op. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -396,34 +396,4 @@ module Cursor = struct
            instr_id);
     c.send_pos.(instr_id) <- pos + 1;
     ds.(pos)
-
-  (* Snapshot: the cursor is positions only — the trace data itself is
-     rebuilt from the workload on restore, so a dump is four position
-     vectors. *)
-
-  type dump = {
-    d_bb_pos : int;
-    d_mem_pos : int array;
-    d_accel_pos : int array;
-    d_send_pos : int array;
-  }
-
-  let dump c =
-    {
-      d_bb_pos = c.bb_pos;
-      d_mem_pos = Array.copy c.mem_pos;
-      d_accel_pos = Array.copy c.accel_pos;
-      d_send_pos = Array.copy c.send_pos;
-    }
-
-  let restore c d =
-    if
-      Array.length d.d_mem_pos <> Array.length c.mem_pos
-      || Array.length d.d_accel_pos <> Array.length c.accel_pos
-      || Array.length d.d_send_pos <> Array.length c.send_pos
-    then invalid_arg "Trace.Cursor.restore: stream count mismatch";
-    c.bb_pos <- d.d_bb_pos;
-    Array.blit d.d_mem_pos 0 c.mem_pos 0 (Array.length c.mem_pos);
-    Array.blit d.d_accel_pos 0 c.accel_pos 0 (Array.length c.accel_pos);
-    Array.blit d.d_send_pos 0 c.send_pos 0 (Array.length c.send_pos)
 end

@@ -120,15 +120,4 @@ module Cursor : sig
 
   (** Destination tile of the next dynamic occurrence of a send. *)
   val next_send_dst : cursor -> instr_id:int -> int
-
-  (** {1 Snapshots} — stream positions only; the trace data is rebuilt
-      from the workload on restore. *)
-
-  type dump
-
-  val dump : cursor -> dump
-
-  (** Raises [Invalid_argument] when the dump's stream counts do not match
-      the cursor's trace. *)
-  val restore : cursor -> dump -> unit
 end

@@ -25,12 +25,3 @@ let prefix_sum t i =
 
 let range_sum t ~lo ~hi =
   if hi < lo then 0 else prefix_sum t hi - prefix_sum t (lo - 1)
-
-type dump = int array
-
-let dump t = Array.copy t.tree
-
-let restore t d =
-  if Array.length d <> Array.length t.tree then
-    invalid_arg "Fenwick.restore: size mismatch";
-  Array.blit d 0 t.tree 0 (Array.length d)

@@ -18,11 +18,3 @@ val prefix_sum : t -> int -> int
 val range_sum : t -> lo:int -> hi:int -> int
 
 val size : t -> int
-
-(** {1 Snapshots} — verbatim copy of the tree array. [restore] raises
-    [Invalid_argument] if the sizes differ. *)
-
-type dump
-
-val dump : t -> dump
-val restore : t -> dump -> unit

@@ -26,9 +26,7 @@ let length h = h.size
 let is_empty h = h.size = 0
 
 let grow h =
-  (* [restore]/[of_dump] can leave a zero-capacity backing array; doubling
-     zero would stay zero. *)
-  let cap = Stdlib.max 4 (2 * Array.length h.prios) in
+  let cap = 2 * Array.length h.prios in
   let ps = Array.make cap 0 and vs = Array.make cap 0
   and ss = Array.make cap 0 in
   Array.blit h.prios 0 ps 0 h.size;
@@ -98,38 +96,3 @@ let drop_min h =
   end
 
 let clear h = h.size <- 0
-
-(* Snapshot: live heap slots verbatim plus the stamp counter; spare
-   capacity does not affect push/pop behaviour, so restoring with
-   capacity = size is exact, ties included. *)
-
-type dump = {
-  d_prios : int array;
-  d_values : int array;
-  d_stamps : int array;
-  d_next_stamp : int;
-}
-
-let dump h =
-  {
-    d_prios = Array.sub h.prios 0 h.size;
-    d_values = Array.sub h.values 0 h.size;
-    d_stamps = Array.sub h.stamps 0 h.size;
-    d_next_stamp = h.next_stamp;
-  }
-
-let of_dump d =
-  {
-    prios = Array.copy d.d_prios;
-    values = Array.copy d.d_values;
-    stamps = Array.copy d.d_stamps;
-    size = Array.length d.d_prios;
-    next_stamp = d.d_next_stamp;
-  }
-
-let restore h d =
-  h.prios <- Array.copy d.d_prios;
-  h.values <- Array.copy d.d_values;
-  h.stamps <- Array.copy d.d_stamps;
-  h.size <- Array.length d.d_prios;
-  h.next_stamp <- d.d_next_stamp

@@ -20,13 +20,3 @@ val min_prio : t -> int
 val min_value : t -> int
 val drop_min : t -> unit
 val clear : t -> unit
-
-(** {1 Snapshots} — live slots and the FIFO stamp counter verbatim; the
-    restored heap behaves identically, ties included (heap order does not
-    depend on spare capacity). *)
-
-type dump
-
-val dump : t -> dump
-val of_dump : dump -> t
-val restore : t -> dump -> unit

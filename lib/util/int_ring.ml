@@ -52,24 +52,6 @@ let clear q =
   q.head <- 0;
   q.len <- 0
 
-(* Snapshot: contents in FIFO order. Push/pop behaviour depends only on
-   element order and the occupancy bound, never on the backing array's
-   rotation, so restore re-pushes into a fresh ring. *)
-
-type dump = { d_capacity : int; d_contents : int array }
-
-let dump q =
-  let cap = Array.length q.data in
-  {
-    d_capacity = q.capacity;
-    d_contents = Array.init q.len (fun i -> q.data.((q.head + i) mod cap));
-  }
-
-let of_dump d =
-  let q = create ~capacity:d.d_capacity in
-  Array.iter (fun x -> ignore (push q x)) d.d_contents;
-  q
-
 (* Peek the [i]-th oldest element (0 = head) without popping: the
    fast-forward executor reads channel occupancy in place. *)
 let peek_at_exn q i =

@@ -28,11 +28,3 @@ val clear : t -> unit
 (** [peek_at_exn q i] is the [i]-th oldest element ([i = 0] is the head);
     raises [Invalid_argument] out of range. *)
 val peek_at_exn : t -> int -> int
-
-(** {1 Snapshots} — contents in FIFO order plus the occupancy bound;
-    behaviour does not depend on the backing array's rotation. *)
-
-type dump
-
-val dump : t -> dump
-val of_dump : dump -> t

@@ -212,42 +212,3 @@ let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   t.len <- 0;
   t.tombs <- 0
-
-(* --- Snapshot support ---
-
-   Probe sequences depend on the exact slot layout (capacity, tombstone
-   positions), and [iter] order is slot order, so a dump copies the
-   backing arrays verbatim rather than re-inserting live entries: the
-   restored table is indistinguishable from the original, including
-   iteration order and future rehash points. The spare pair is not
-   state: a restored table makes its own at its first squeeze. *)
-
-type dump = { d_keys : int array; d_vals : int array; d_len : int; d_tombs : int }
-
-let dump t =
-  {
-    d_keys = Array.copy t.keys;
-    d_vals = Array.copy t.vals;
-    d_len = t.len;
-    d_tombs = t.tombs;
-  }
-
-let of_dump d =
-  {
-    keys = Array.copy d.d_keys;
-    vals = Array.copy d.d_vals;
-    mask = Array.length d.d_keys - 1;
-    len = d.d_len;
-    tombs = d.d_tombs;
-    spare_keys = [||];
-    spare_vals = [||];
-  }
-
-let restore t d =
-  t.keys <- Array.copy d.d_keys;
-  t.vals <- Array.copy d.d_vals;
-  t.mask <- Array.length d.d_keys - 1;
-  t.len <- d.d_len;
-  t.tombs <- d.d_tombs;
-  t.spare_keys <- [||];
-  t.spare_vals <- [||]

@@ -53,18 +53,3 @@ val iter : (int -> int -> unit) -> t -> unit
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val clear : t -> unit
-
-(** {1 Snapshots}
-
-    Verbatim images of the backing arrays. Probe sequences and iteration
-    order depend on slot layout, so dumps preserve it exactly: a restored
-    table behaves identically to the original, including iteration order
-    and rehash points. *)
-
-type dump
-
-val dump : t -> dump
-val of_dump : dump -> t
-
-(** [restore t d] overwrites [t] in place with [d]'s contents. *)
-val restore : t -> dump -> unit

@@ -7,7 +7,6 @@
    cycles that incremented them. *)
 
 module Soc = Mosaic.Soc
-module Noc = Mosaic.Noc
 module Interleaver = Mosaic.Interleaver
 module TC = Mosaic_tile.Tile_config
 module Core_tile = Mosaic_tile.Core_tile
@@ -170,20 +169,6 @@ let test_accelerator () =
        (W.Sgemm.instance ~accel:true ~m:32 ~n:32 ~k:32 ())
        ~ntiles:1)
 
-(* Mesh NoC: message arrivals ride the Interleaver's next-arrival view. *)
-let test_noc () =
-  let ntiles = 4 in
-  let cfg =
-    {
-      Mosaic.Presets.dae_soc with
-      Soc.noc = Some (Noc.default_config ~ntiles);
-    }
-  in
-  ignore
-    (differential "spmv/noc" cfg ~tile_config:TC.out_of_order
-       (W.Spmv.instance ~seed:29 ~rows:128 ~cols:128 ~per_row:4 ())
-       ~ntiles)
-
 (* Heterogeneous clock dividers: a slow tile only launches/issues on its
    own edges, so wake-ups must round up to edge alignment. *)
 let test_clock_dividers () =
@@ -245,7 +230,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_random_micro;
         Alcotest.test_case "DAE pipeline" `Quick test_dae_pipeline;
         Alcotest.test_case "accelerator" `Quick test_accelerator;
-        Alcotest.test_case "mesh NoC" `Quick test_noc;
         Alcotest.test_case "mixed clock dividers" `Quick test_clock_dividers;
         Alcotest.test_case "event stream identical" `Quick test_event_stream;
         Alcotest.test_case "skipping happens" `Quick test_skipping_happens;

@@ -1,11 +1,10 @@
-(* Tests for the future-work extensions: dynamic branch predictors, the
-   mesh NoC, and trace encoders. *)
+(* Tests for the future-work extensions: dynamic branch predictors and
+   trace encoders. *)
 
 open Mosaic_ir
 module B = Builder
 module Predictor = Mosaic_tile.Predictor
 module Branch = Mosaic_tile.Branch
-module Noc = Mosaic.Noc
 module Encode = Mosaic_trace.Encode
 module Trace = Mosaic_trace.Trace
 module TC = Mosaic_tile.Tile_config
@@ -112,68 +111,6 @@ let test_dynamic_policy_in_simulation () =
   (* The alternating if/else defeats the static taken heuristic; gshare
      learns it. *)
   checkb "dynamic beats static on alternation" true (dynamic < static_)
-
-(* --- NoC --- *)
-
-let test_noc_hops () =
-  let noc = Noc.create ~ntiles:9 { Noc.width = 3; hop_latency = 4; link_capacity = 8; epoch_cycles = 32 } in
-  checki "same tile" 0 (Noc.hops noc ~src:4 ~dst:4);
-  checki "neighbor" 1 (Noc.hops noc ~src:0 ~dst:1);
-  checki "corner to corner" 4 (Noc.hops noc ~src:0 ~dst:8)
-
-let test_noc_latency_scales_with_distance () =
-  let noc = Noc.create ~ntiles:16 { Noc.width = 4; hop_latency = 5; link_capacity = 64; epoch_cycles = 32 } in
-  let near = Noc.delay noc ~src:0 ~dst:1 ~cycle:0 in
-  let far = Noc.delay noc ~src:0 ~dst:15 ~cycle:0 in
-  checkb "farther is slower" true (far > near);
-  checki "near = 2 hops worth" (2 * 5) near;
-  checki "far = 7 hops worth" (7 * 5) far
-
-let test_noc_link_contention () =
-  let noc =
-    Noc.create ~ntiles:4 { Noc.width = 2; hop_latency = 2; link_capacity = 1; epoch_cycles = 16 }
-  in
-  (* Hammer one link within one epoch: completions must spread out. *)
-  let arrivals = List.init 6 (fun _ -> Noc.delay noc ~src:0 ~dst:1 ~cycle:0) in
-  let distinct = List.sort_uniq compare arrivals in
-  checkb "contention spreads arrivals" true (List.length distinct > 3);
-  checkb "contended counted" true ((Noc.stats noc).Noc.contended > 0)
-
-let test_noc_bad_tile () =
-  let noc = Noc.create ~ntiles:4 (Noc.default_config ~ntiles:4) in
-  Alcotest.check_raises "bad tile" (Invalid_argument "Noc.delay: bad tile 9")
-    (fun () -> ignore (Noc.delay noc ~src:0 ~dst:9 ~cycle:0))
-
-let test_noc_in_soc () =
-  (* Messages still all arrive when the Interleaver rides the NoC. *)
-  let p = Program.create () in
-  let out = Program.alloc p "out" ~elems:1 ~elem_size:8 in
-  let _ =
-    B.define p "pc" ~nparams:0 (fun b ->
-        B.if_else b
-          (B.icmp b Op.Eq B.tid (B.imm 0))
-          (fun () ->
-            B.for_ b ~from:(B.imm 0) ~to_:(B.imm 20) (fun i ->
-                B.send b ~chan:0 ~dst:(B.imm 3) i))
-          (fun () ->
-            B.if_ b
-              (B.icmp b Op.Eq B.tid (B.imm 3))
-              (fun () ->
-                let acc = B.var b (B.imm 0) in
-                B.for_ b ~from:(B.imm 0) ~to_:(B.imm 20) (fun _ ->
-                    B.assign b ~var:acc (B.add b acc (B.recv b ~chan:0)));
-                B.store b ~addr:(B.elem b out (B.imm 0)) acc));
-        B.ret b ())
-  in
-  let it = Mosaic_trace.Interp.create p ~kernel:"pc" ~ntiles:4 ~args:[] in
-  let trace = Mosaic_trace.Interp.run it in
-  let cfg =
-    { Mosaic.Presets.dae_soc with Soc.noc = Some (Noc.default_config ~ntiles:4) }
-  in
-  let with_noc =
-    Soc.run_homogeneous cfg ~program:p ~trace ~tile_config:TC.out_of_order
-  in
-  checki "all messages received" 20 with_noc.Soc.interleaver.Mosaic.Interleaver.recvs
 
 (* --- Encode --- *)
 
@@ -294,14 +231,6 @@ let suite =
         Alcotest.test_case "stats" `Quick test_predictor_stats;
         Alcotest.test_case "dynamic policy end to end" `Quick
           test_dynamic_policy_in_simulation;
-      ] );
-    ( "ext.noc",
-      [
-        Alcotest.test_case "hop counts" `Quick test_noc_hops;
-        Alcotest.test_case "latency vs distance" `Quick test_noc_latency_scales_with_distance;
-        Alcotest.test_case "link contention" `Quick test_noc_link_contention;
-        Alcotest.test_case "bad tiles" `Quick test_noc_bad_tile;
-        Alcotest.test_case "soc integration" `Quick test_noc_in_soc;
       ] );
     ( "ext.encode",
       [

@@ -66,7 +66,8 @@ let test_event_tracks () =
   checks "cache track" "l1"
     (tr (Event.Cache_access { cache = "l1.0"; outcome = Event.Hit }));
   checks "dram track" "dram" (tr (Event.Dram_row_activate { bank = 0; row = 1 }));
-  checks "noc track" "noc" (tr (Event.Noc_hop { src = 0; dst = 1; hops = 2 }));
+  checks "interleaver track" "interleaver"
+    (tr (Event.Interleaver_handoff { src = 0; dst = 1; chan = 0 }));
   checks "accel track" "accel"
     (tr (Event.Accel_invoke { tile = 0; kind = "gemm"; cycles = 10 }))
 
@@ -233,7 +234,6 @@ let event_gen =
             return (Event.Dram_row_activate { bank; row }) );
           ( int_range 0 3 >>= fun dst ->
             return (Event.Interleaver_handoff { src = tile; dst; chan = 0 }) );
-          (int_range 1 6 >>= fun hops -> return (Event.Noc_hop { src = tile; dst = 0; hops }));
           ( nasty_string_gen >>= fun kind ->
             int_range 0 500 >>= fun cycles ->
             return (Event.Accel_invoke { tile; kind; cycles }) );

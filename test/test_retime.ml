@@ -16,7 +16,9 @@
       and [Domain_pool.map] is input-order preserving).
    4. Skeleton accounting — per-tile opcode-class counts sum to that
       tile's dynamic instruction count, and the skeleton's total matches
-      the trace's. *)
+      the trace's.
+   5. Axis ranges — [Sweep.axis_of_spec] rejects unknown axes and values
+      outside an axis's range with [Failure], before anything runs. *)
 
 module Soc = Mosaic.Soc
 module Retime = Mosaic.Retime
@@ -120,6 +122,31 @@ let test_skeleton_accounting () =
         (Array.fold_left ( + ) 0 ts.Analysis.class_counts))
     skel.Analysis.tiles
 
+let test_axis_ranges () =
+  let labels spec =
+    List.map fst (Sweep.axis_of_spec spec).Sweep.points
+  in
+  Alcotest.(check (list string))
+    "valid points keep their labels" [ "l1=8"; "l1=16" ] (labels "l1=8,16");
+  Alcotest.(check (list string)) "zero-cycle wire" [ "wire=0" ] (labels "wire=0");
+  Alcotest.(check (list string))
+    "fractional GHz" [ "freq=0.5"; "freq=3.2" ] (labels "freq=0.5,3.2");
+  List.iter
+    (fun spec ->
+      match Sweep.axis_of_spec spec with
+      | (_ : Sweep.axis) -> Alcotest.failf "%s accepted" spec
+      | exception Failure _ -> ())
+    [ "foo=1"; "l1"; "l1="; "l1=abc"; "l1=8.5"; "l1=0"; "l1=-4"; "l2=0";
+      "llc=0"; "dramlat=-5"; "dramlat=0"; "wire=-1"; "plm=0"; "lanes=0";
+      "width=0"; "width=-1"; "window=0"; "lsq=0"; "div=0"; "freq=0";
+      "freq=-1"; "freq=nan"; "freq=inf"; "l1=8,0,16" ];
+  (* Geometry depends on the edited level, so it is checked when the edit
+     is applied: 1 KB cannot hold the LLC's sets. *)
+  let edit = snd (List.hd (Sweep.axis_of_spec "llc=1").Sweep.points) in
+  match edit (Presets.xeon_soc, TC.out_of_order) with
+  | _ -> Alcotest.fail "llc=1 applied"
+  | exception Failure _ -> ()
+
 let suite =
   [
     ( "retime",
@@ -131,5 +158,6 @@ let suite =
           test_parallel_determinism;
         Alcotest.test_case "skeleton accounting" `Quick
           test_skeleton_accounting;
+        Alcotest.test_case "sweep axis ranges" `Quick test_axis_ranges;
       ] );
   ]

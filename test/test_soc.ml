@@ -1,6 +1,7 @@
 (* Tests for the SoC driver, Interleaver and accelerator integration. *)
 
 module Soc = Mosaic.Soc
+module Sample = Mosaic.Sample
 module Interleaver = Mosaic.Interleaver
 module TC = Mosaic_tile.Tile_config
 module W = Mosaic_workloads
@@ -172,6 +173,55 @@ let test_simple_models_bracket () =
   in
   checkb "interval sees memory stalls" true (interval > ipc1)
 
+(* Interval sampling sanity: the sampled run completes every instruction,
+   reports a plausible estimate (deterministically), and rejects malformed
+   specs. Accuracy at scale is measured in the bench suite against the
+   exact oracle (speed.sample.* in BENCH_speed.json, bounded by
+   bench/speed.rules). *)
+let test_sampling () =
+  (* Large enough that the cold-start transient is a small fraction of the
+     run — sampling is an asymptotic technique; tiny runs are all
+     transient. *)
+  let inst = W.Spmv.instance ~seed:17 ~rows:512 ~cols:512 ~per_row:8 () in
+  let trace = W.Runner.trace inst ~ntiles:1 in
+  let exact =
+    Soc.run_homogeneous Mosaic.Presets.xeon_soc ~program:inst.W.Runner.program
+      ~trace ~tile_config:TC.out_of_order
+  in
+  let total = Mosaic_trace.Trace.total_dyn_instrs trace in
+  let spec = Sample.auto ~total_instrs:total in
+  let sampled =
+    Soc.run_homogeneous ~sample:spec Mosaic.Presets.xeon_soc
+      ~program:inst.W.Runner.program ~trace ~tile_config:TC.out_of_order
+  in
+  checki "sampled run commits every instruction" exact.Soc.instrs
+    sampled.Soc.instrs;
+  let rep =
+    match sampled.Soc.sample with
+    | Some r -> r
+    | None -> Alcotest.fail "sampled run carries no report"
+  in
+  checkb "estimate is positive" true (rep.Sample.est_cycles > 0);
+  let err =
+    Float.abs (float_of_int (rep.Sample.est_cycles - exact.Soc.cycles))
+    /. float_of_int exact.Soc.cycles
+  in
+  checkb
+    (Printf.sprintf "estimate within 25%% of exact (est %d, exact %d)"
+       rep.Sample.est_cycles exact.Soc.cycles)
+    true (err <= 0.25);
+  checkb "detailed portion is a strict subset" true
+    (rep.Sample.detailed_instrs < total && rep.Sample.ff_instrs > 0);
+  let expect_invalid spec =
+    match Sample.validate_spec spec with
+    | () -> Alcotest.fail "bad spec accepted"
+    | exception Invalid_argument _ -> ()
+  in
+  expect_invalid { Sample.period = 0; interval = 0; warmup = 0 };
+  expect_invalid { Sample.period = 100; interval = 100; warmup = 0 };
+  expect_invalid { Sample.period = 100; interval = 0; warmup = 10 };
+  expect_invalid { Sample.period = 100; interval = 50; warmup = -1 }
+
 let suite =
   [
     ( "soc.run",
@@ -182,6 +232,7 @@ let suite =
         Alcotest.test_case "multi-tile scaling" `Quick test_more_tiles_scale;
         Alcotest.test_case "accelerator invocation" `Quick test_accelerator_invocation;
         Alcotest.test_case "dram model choice" `Quick test_dram_model_choice;
+        Alcotest.test_case "interval sampling sanity" `Quick test_sampling;
       ] );
     ( "soc.interleaver",
       [

@@ -1,7 +1,7 @@
 (* Differential fuzzer over generated IR programs.
 
    Each case is a random, validated, terminating program from
-   [Mosaic_ir.Gen]. Its trace is fed through three differential oracles
+   [Mosaic_ir.Gen]. Its trace is fed through five differential oracles
    that the simulator promises hold for *every* program, not just the
    curated workloads:
 
@@ -21,12 +21,6 @@
       shards:ntiles, profiled) is conservative parallel simulation, not
       an approximation: cycles, stepped cycles, instrs and every tile's
       per-cause stall attribution bit-identical to the serial sweep.
-   6. snapshot/resume — checkpointing the run at a pseudo-random cycle
-      and resuming a fresh run from the snapshot (every third case
-      additionally round-tripped through the serialized container)
-      reproduces the straight run bit-for-bit: cycles, stepped cycles,
-      instrs and every tile's stall attribution.
-
    Any divergence prints the case's seed (which fully determines it) and
    exits non-zero.
 
@@ -161,52 +155,6 @@ let run_case ~quiet ~size i base_seed =
     rt.Mosaic.Retime.cycles;
   check case "instrs (retimed at base vs simulated)" skip_prof.Soc.instrs
     rt.Mosaic.Retime.instrs;
-  (* Oracle 6: checkpoint at a pseudo-random cycle, resume a fresh run
-     from the snapshot, and demand the straight run back bit-for-bit. *)
-  let mid =
-    if skip_prof.Soc.cycles <= 1 then 0
-    else (seed * 0x9E3779B1) land max_int mod skip_prof.Soc.cycles
-  in
-  let snap = ref None in
-  let capturing =
-    Soc.run_homogeneous ~profile:true ~checkpoint_at:mid
-      ~on_checkpoint:(fun s -> snap := Some s)
-      Soc.default_config ~program:case.program ~trace ~tile_config
-  in
-  check case "cycles (checkpointing run)" skip_prof.Soc.cycles
-    capturing.Soc.cycles;
-  let snap =
-    match !snap with
-    | Some s -> s
-    | None -> fail case "no snapshot captured at cycle %d" mid
-  in
-  let snap =
-    (* Every third case also proves the on-disk container is faithful. *)
-    if i mod 3 = 0 then
-      Mosaic.Snapshot.of_bytes (Mosaic.Snapshot.to_bytes snap)
-    else snap
-  in
-  let resumed =
-    Soc.run_homogeneous ~profile:true ~resume:snap Soc.default_config
-      ~program:case.program ~trace ~tile_config
-  in
-  check case "cycles (resumed vs straight)" skip_prof.Soc.cycles
-    resumed.Soc.cycles;
-  check case "stepped cycles (resumed vs straight)"
-    skip_prof.Soc.stepped_cycles resumed.Soc.stepped_cycles;
-  check case "instrs (resumed vs straight)" skip_prof.Soc.instrs
-    resumed.Soc.instrs;
-  Array.iteri
-    (fun t p ->
-      Array.iter
-        (fun cause ->
-          check case
-            (Printf.sprintf "tile %d stall %s (resumed vs straight)" t
-               (Mosaic_obs.Stall.name cause))
-            (Profile.count skip_prof.Soc.profiles.(t) cause)
-            (Profile.count p cause))
-        Mosaic_obs.Stall.all)
-    resumed.Soc.profiles;
   if not quiet then
     Printf.printf "seed %d: ok (%d tiles, %d cycles, %d instrs)\n%!" seed
       case.ntiles skip_prof.Soc.cycles skip_prof.Soc.instrs
@@ -247,5 +195,5 @@ let () =
     Store.reset ();
     run_case ~quiet:!quiet ~size:!size i !seed
   done;
-  Printf.printf "fuzz_differential: %d cases, 6 oracles each, 0 divergences\n"
+  Printf.printf "fuzz_differential: %d cases, 5 oracles each, 0 divergences\n"
     !count
