@@ -241,45 +241,6 @@ let write_observability ~bench ~trace_out ~metrics_out ~sink
       Printf.printf "metrics: %s\n" file)
     metrics_out
 
-(* "auto", "PERIOD", "PERIOD:INTERVAL" or "PERIOD:INTERVAL:WARMUP", all in
-   instructions across tiles; unspecified fields follow [Sample.auto]'s
-   proportions. *)
-let sample_spec_of_string ~trace s =
-  if s = "auto" then
-    Mosaic.Sample.auto
-      ~total_instrs:(Mosaic_trace.Trace.total_dyn_instrs trace)
-  else
-    let fields =
-      try List.map int_of_string (String.split_on_char ':' s)
-      with Failure _ ->
-        failwith
-          (Printf.sprintf
-             "bad --sample spec %S (auto | PERIOD[:INTERVAL[:WARMUP]])" s)
-    in
-    let spec =
-      match fields with
-      | [ period ] ->
-          {
-            Mosaic.Sample.period;
-            interval = Stdlib.max 1 (period / 8);
-            warmup = Stdlib.max 1 (period / 40);
-          }
-      | [ period; interval ] ->
-          {
-            Mosaic.Sample.period;
-            interval;
-            warmup = Stdlib.max 1 (period / 40);
-          }
-      | [ period; interval; warmup ] ->
-          { Mosaic.Sample.period; interval; warmup }
-      | _ ->
-          failwith
-            (Printf.sprintf
-               "bad --sample spec %S (auto | PERIOD[:INTERVAL[:WARMUP]])" s)
-    in
-    Mosaic.Sample.validate_spec spec;
-    spec
-
 let print_sample_report (r : Soc.result) =
   Option.iter
     (fun (s : Mosaic.Sample.report) ->
@@ -302,7 +263,16 @@ let sample_arg =
      $(b,PERIOD[:INTERVAL[:WARMUP]]) in instructions. Without this flag \
      the full (exact) simulator runs every cycle."
   in
-  Arg.(value & opt (some string) None & info [ "sample" ] ~docv:"SPEC" ~doc)
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Mosaic.Sample.parse_spec s)
+  in
+  let print ppf = function
+    | None -> Format.pp_print_string ppf "auto"
+    | Some (s : Mosaic.Sample.spec) ->
+        Format.fprintf ppf "%d:%d:%d" s.period s.interval s.warmup
+  in
+  let spec = Arg.conv (parse, print) in
+  Arg.(value & opt (some spec) None & info [ "sample" ] ~docv:"SPEC" ~doc)
 
 let manifest_arg =
   let doc =
@@ -353,7 +323,15 @@ let run_cmd =
       apply_shards shards (apply_no_skip no_skip (system_of_string system))
     in
     let sink = sink_for trace_out in
-    let sample = Option.map (sample_spec_of_string ~trace) sample in
+    let sample =
+      Option.map
+        (function
+          | Some spec -> spec
+          | None ->
+              Mosaic.Sample.auto
+                ~total_instrs:(Mosaic_trace.Trace.total_dyn_instrs trace))
+        sample
+    in
     let progress = progress_for ~enabled:progress ~label:bench ~trace in
     let r =
       Soc.run_homogeneous ~sink ~profile ?sample ?progress cfg

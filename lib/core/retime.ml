@@ -80,14 +80,6 @@ let of_result ~cfg ~(tiles : Soc.tile_spec array) skeleton (r : Soc.result) =
     base_cycles = r.Soc.cycles;
   }
 
-(* [prepare] is the one full-price step of a sweep: an exact profiled
-   simulation plus the skeleton extraction. Returns the base result too —
-   it doubles as the sweep's anchor point. *)
-let prepare ?sink ?metrics cfg ~program ~trace ~tiles =
-  let r = Soc.run ?sink ?metrics ~profile:true cfg ~program ~trace ~tiles in
-  let skeleton = Analysis.skeleton program trace in
-  (of_result ~cfg ~tiles skeleton r, r)
-
 (* Average memory access time of the candidate hierarchy under the tile's
    reuse histogram: stack-distance capacity hit rates per level (inclusive
    hierarchy, so the miss stream of level i is the access stream filtered
@@ -157,13 +149,10 @@ let comm_latency (cfg : Soc.config) (tc : TC.t) =
 let accel_cycles (cfg : Soc.config) (ts : Analysis.tile_skeleton) =
   Array.fold_left
     (fun acc (kind, params) ->
-      let design =
-        match List.assoc_opt kind cfg.Soc.accel_designs with
-        | Some d -> d
-        | None -> Accel_model.default_design
-      in
       let w = Accel_kinds.workload kind params in
-      let est = Accel_model.estimate cfg.Soc.accel_sys design w in
+      let est =
+        Accel_model.estimate cfg.Soc.accel_sys (Soc.design_of cfg kind) w
+      in
       acc +. float_of_int est.Accel_model.cycles)
     0.0 ts.Analysis.accel_calls
 
@@ -239,12 +228,3 @@ let run prep (cfg : Soc.config) (tiles : Soc.tile_spec array) =
        else float_of_int instrs /. float_of_int cycles);
     tile_cycles;
   }
-
-let run_homogeneous prep cfg ~tile_config =
-  let tiles =
-    Array.map
-      (fun (ts : Analysis.tile_skeleton) ->
-        { Soc.kernel = ts.Analysis.kernel; tile_config })
-      prep.skeleton.Analysis.tiles
-  in
-  run prep cfg tiles

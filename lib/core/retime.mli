@@ -1,8 +1,8 @@
 (** Incremental re-timing: one exact profiled simulation, then cheap
     config re-pricing for design-space sweeps (the LightningSim split).
 
-    {!prepare} runs the exact simulator once with the cycle-accounting
-    profiler and extracts the config-independent trace skeleton
+    {!of_result} takes one exact simulation run with the cycle-accounting
+    profiler and the config-independent trace skeleton
     ([Mosaic_trace.Analysis.skeleton]). {!run} then prices any candidate
     config in microseconds by scaling each tile's measured stall-cause
     decomposition: memory stalls by an AMAT ratio derived from the reuse
@@ -49,22 +49,7 @@ val of_result :
   Soc.result ->
   prep
 
-(** One full-price step: exact profiled simulation + skeleton extraction.
-    Also returns the base result (the sweep's anchor point). *)
-val prepare :
-  ?sink:Mosaic_obs.Sink.t ->
-  ?metrics:Mosaic_obs.Metrics.t ->
-  Soc.config ->
-  program:Mosaic_ir.Program.t ->
-  trace:Mosaic_trace.Trace.t ->
-  tiles:Soc.tile_spec array ->
-  prep * Soc.result
-
 (** Price a candidate config. Pure and allocation-light — safe to call
     from concurrent domains on a shared [prep]. Raises
     [Invalid_argument] when the tile count differs from the base run. *)
 val run : prep -> Soc.config -> Soc.tile_spec array -> point
-
-(** [run] with every tile given the same core config. *)
-val run_homogeneous :
-  prep -> Soc.config -> tile_config:Mosaic_tile.Tile_config.t -> point

@@ -26,11 +26,33 @@ type spec = {
   warmup : int;  (** detailed warmup instructions before each measurement *)
 }
 
-let validate_spec s =
+let check_spec s =
   if s.period <= 0 || s.interval <= 0 || s.warmup < 0 then
-    invalid_arg "Sample: period/interval must be positive, warmup >= 0";
-  if s.interval + s.warmup >= s.period then
-    invalid_arg "Sample: interval + warmup must be smaller than period"
+    Error "period/interval must be positive, warmup >= 0"
+  else if s.interval + s.warmup >= s.period then
+    Error "interval + warmup must be smaller than period"
+  else Ok s
+
+let validate_spec s =
+  match check_spec s with
+  | Ok _ -> ()
+  | Error why -> invalid_arg ("Sample: " ^ why)
+
+(* Unspecified fields are fixed fractions of PERIOD, so a spec is complete,
+   and can be checked, as soon as it is parsed. *)
+let parse_spec str =
+  let spec period ?(interval = max 1 (period / 8))
+      ?(warmup = max 1 (period / 40)) () =
+    Result.map Option.some (check_spec { period; interval; warmup })
+  in
+  Result.map_error (Printf.sprintf "bad sample spec %S: %s" str)
+    (match List.map int_of_string_opt (String.split_on_char ':' str) with
+    | _ when str = "auto" -> Ok None
+    | [ Some period ] -> spec period ()
+    | [ Some period; Some interval ] -> spec period ~interval ()
+    | [ Some period; Some interval; Some warmup ] ->
+        spec period ~interval ~warmup ()
+    | _ -> Error "expected auto or PERIOD[:INTERVAL[:WARMUP]]")
 
 (* Defaults in the spirit of SMARTS: ~10 periods across the run, 1/8 of
    each measured in detail, a short warmup ahead of each measurement. *)

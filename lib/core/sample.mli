@@ -20,6 +20,12 @@ type spec = {
 (** Raises [Invalid_argument] unless [period > interval + warmup > 0]. *)
 val validate_spec : spec -> unit
 
+(** Parse ["auto"] ([Ok None]: {!auto} once the run's size is known) or
+    ["PERIOD[:INTERVAL[:WARMUP]]"] in instructions across tiles, missing
+    fields being PERIOD/8 and PERIOD/40 (at least 1). A parsed spec passes
+    {!validate_spec}; anything else is [Error] with a one-line reason. *)
+val parse_spec : string -> (spec option, string) result
+
 (** A reasonable default: ~10 periods across the run, 1/8 of each measured
     in detail, a short warmup ahead of each measurement. *)
 val auto : total_instrs:int -> spec
@@ -63,17 +69,3 @@ val skip_cap : driver -> cycle:int -> int
 
 (** Build the report once the run completes at [cycle]. *)
 val finish : driver -> cycle:int -> report
-
-(** {1 Fast-forward executor} — exposed for tests; [Soc.run] drives it via
-    the driver. [targets] are per-tile instruction counts to advance
-    (block-granular, soft); returns the instructions actually skipped per
-    tile. *)
-val fast_forward :
-  cores:Mosaic_tile.Core_tile.t array ->
-  funcs:Func.t array ->
-  inter:Interleaver.t ->
-  hier:Mosaic_memory.Hierarchy.t ->
-  on_accel:(tile:int -> kind:string -> params:Value.t array -> float) ->
-  cycle:int ->
-  targets:int array ->
-  int array

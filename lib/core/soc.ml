@@ -116,7 +116,6 @@ type result = {
 type accel_manager = {
   mutable active : int list;  (** finish cycles of in-flight invocations *)
   mutable invocations : int;
-  mutable energy_pj_total : float;
   busy_by_tile : int array;
       (** cycles each tile spent waiting on its accelerator invocations
           (treated as clock-gated for static power) *)
@@ -126,6 +125,12 @@ let design_of cfg kind =
   match List.assoc_opt kind cfg.accel_designs with
   | Some d -> d
   | None -> Accel_model.default_design
+
+(* Count one invocation and return its energy in pJ: detailed and
+   fast-forwarded invocations both book through here. *)
+let count_invocation mgr (est : Accel_model.estimate) =
+  mgr.invocations <- mgr.invocations + 1;
+  est.Accel_model.energy_j *. 1e12
 
 let accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle =
   mgr.active <- List.filter (fun f -> f > cycle) mgr.active;
@@ -150,11 +155,8 @@ let accel_invoke mgr cfg hier ~sink ~tile ~kind ~params ~cycle =
        ~is_write:false);
   let finish = cycle + est.Accel_model.cycles in
   mgr.active <- finish :: mgr.active;
-  mgr.invocations <- mgr.invocations + 1;
   mgr.busy_by_tile.(tile) <- mgr.busy_by_tile.(tile) + est.Accel_model.cycles;
-  let energy_pj = est.Accel_model.energy_j *. 1e12 in
-  mgr.energy_pj_total <- mgr.energy_pj_total +. energy_pj;
-  { Core_tile.finish_cycle = finish; energy_pj }
+  { Core_tile.finish_cycle = finish; energy_pj = count_invocation mgr est }
 
 (* Register the run-level numbers into the metrics registry. Components
    (hierarchy, interleaver) publish their own counters separately;
@@ -215,10 +217,88 @@ let publish_result reg (r : result) =
           0 r.tile_stats
       in
       c ("mix." ^ Op.class_to_string cls) n)
-    Op.all_classes
+    Op.all_classes;
+  Option.iter
+    (fun (s : Sample.report) ->
+      c "sample.est_cycles" s.Sample.est_cycles;
+      c "sample.detailed_cycles" s.Sample.detailed_cycles;
+      c "sample.detailed_instrs" s.Sample.detailed_instrs;
+      c "sample.ff_instrs" s.Sample.ff_instrs;
+      c "sample.periods" s.Sample.periods;
+      c "sample.degraded" s.Sample.degraded)
+    r.sample
 
-let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
-    ~program ~trace ~tiles =
+(* Sharded execution: [shards > 1] partitions the tiles into contiguous
+   ascending ranges, one OCaml domain each, swept in cycle lockstep.
+   Tile-private work (core pipelines, L1 hits under a private-only
+   hierarchy) runs in parallel; every operation on shared state — the
+   interleaver, shared cache levels, DRAM, the directory, the
+   accelerator manager — is funneled through [Shard_sync] at the exact
+   point (visited cycle, tile id) a single shard would have executed
+   it, so all counters come out bit-identical. *)
+type shard_plan = {
+  nshards : int;
+  bounds : int array;  (** shard [k] steps tiles [bounds.(k)..bounds.(k+1)-1] *)
+  sync : Mosaic_util.Shard_sync.t option;  (** [None] when serial *)
+  cur_seq : int array;
+      (** visited cycles swept per shard; only the owner writes its slot,
+          and comm callbacks read the caller's own *)
+  order : int -> unit;
+      (** take the acting tile's turn in the global shared-state order,
+          once every other shard has swept past it; a no-op serially *)
+}
+
+let shard_plan cfg ~ntiles ~serial =
+  let nshards =
+    let s = Stdlib.min cfg.shards ntiles in
+    if s > 1 && not serial then s else 1
+  in
+  let sync =
+    if nshards > 1 then
+      Some (Mosaic_util.Shard_sync.create ~timed:(Span.enabled ()) ~nshards ())
+    else None
+  in
+  let bounds = Array.init (nshards + 1) (fun k -> k * ntiles / nshards) in
+  let shard_of = Array.make ntiles 0 in
+  for k = 0 to nshards - 1 do
+    for t = bounds.(k) to bounds.(k + 1) - 1 do
+      shard_of.(t) <- k
+    done
+  done;
+  let cur_seq = Array.make nshards 0 in
+  let order =
+    match sync with
+    | None -> fun _ -> ()
+    | Some sync ->
+        let module Sync = Mosaic_util.Shard_sync in
+        fun tile ->
+          let shard = shard_of.(tile) in
+          Sync.wait_order sync ~shard
+            ~point:(Sync.point ~seq:cur_seq.(shard) ~tile)
+  in
+  { nshards; bounds; sync; cur_seq; order }
+
+(* Everything one run simulates, wired by [build]. *)
+type machine = {
+  cfg : config;
+  tiles : tile_spec array;
+  reg : Metrics.t;
+  hier : Hierarchy.t;
+  inter : Interleaver.t;
+  mgr : accel_manager;
+  profiled : bool;
+  profiles : Profile.t array;
+  cores : Core_tile.t array;
+  plan : shard_plan;
+}
+
+(* Check [tiles] against the trace, then wire the machine: hierarchy,
+   interleaver, accelerator manager, shard plan, and one core per tile
+   whose shared-state operations take their turn in the plan's order. An
+   enabled sink forces one shard, since event streams would interleave
+   nondeterministically across domains; so does sampling, which drives
+   drains, fast-forwards and phase transitions from the loop top. *)
+let build ~sink ~profile ~sampled cfg ~program ~trace ~tiles =
   let ntiles = Array.length tiles in
   if ntiles = 0 then invalid_arg "Soc.run: no tiles";
   if ntiles <> trace.Trace.ntiles then
@@ -233,21 +313,14 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
           (Printf.sprintf "Soc.run: tile %d runs %s but trace has %s" i
              spec.kernel traced))
     tiles;
-  let reg =
-    match metrics with Some r -> r | None -> Metrics.create ()
-  in
+  let reg = Metrics.create () in
   let hier = Hierarchy.create ~sink ~ntiles cfg.hierarchy in
   let inter =
     Interleaver.create ~buffer_capacity:cfg.buffer_capacity
       ~wire_latency:cfg.wire_latency ~sink ()
   in
   let mgr =
-    {
-      active = [];
-      invocations = 0;
-      energy_pj_total = 0.0;
-      busy_by_tile = Array.make ntiles 0;
-    }
+    { active = []; invocations = 0; busy_by_tile = Array.make ntiles 0 }
   in
   let ddg_cache = Hashtbl.create 4 in
   let ddg_of name =
@@ -258,54 +331,12 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
         Hashtbl.replace ddg_cache name d;
         d
   in
-  (* Sharded execution: [shards > 1] partitions the tiles into contiguous
-     ascending ranges, one OCaml domain each, swept in cycle lockstep.
-     Tile-private work (core pipelines, L1 hits under a private-only
-     hierarchy) runs in parallel; every operation on shared state — the
-     interleaver, shared cache levels, DRAM, the directory, the
-     accelerator manager — is funneled through [Shard_sync] at the exact
-     point (visited cycle, tile id) a single shard would have executed
-     it, so all counters come out bit-identical. Event streams would
-     interleave nondeterministically across domains, so an enabled sink
-     forces one shard. *)
-  let nshards =
-    let s = Stdlib.min cfg.shards ntiles in
-    (* Sampling drives drains, fast-forwards and phase transitions from
-       the loop top; force one shard when sampling. *)
-    if s > 1 && (not (Sink.enabled sink)) && sample = None then s else 1
-  in
-  let sync =
-    if nshards > 1 then
-      Some (Mosaic_util.Shard_sync.create ~timed:(Span.enabled ()) ~nshards ())
-    else None
-  in
-  let bounds = Array.init (nshards + 1) (fun k -> k * ntiles / nshards) in
-  let shard_of = Array.make ntiles 0 in
-  for k = 0 to nshards - 1 do
-    for t = bounds.(k) to bounds.(k + 1) - 1 do
-      shard_of.(t) <- k
-    done
-  done;
-  (* Each slot is written only by its owning domain; comm callbacks read
-     the caller's own slot, so there is no cross-domain access. *)
-  let cur_seq = Array.make nshards 0 in
-  (* Take the acting tile's turn in the global shared-state order:
-     returns once every other shard has swept past this point. Serially
-     every operation is already in that order. *)
-  let order =
-    match sync with
-    | None -> fun _ -> ()
-    | Some sync ->
-        let module Sync = Mosaic_util.Shard_sync in
-        fun tile ->
-          let shard = shard_of.(tile) in
-          Sync.wait_order sync ~shard
-            ~point:(Sync.point ~seq:cur_seq.(shard) ~tile)
-  in
+  let plan = shard_plan cfg ~ntiles ~serial:(Sink.enabled sink || sampled) in
+  let order = plan.order in
   (* An L1 hit under a private-only hierarchy touches only the tile's own
      cache state and commutes with every shared operation — the common
      case, and the whole source of parallelism on memory-bound workloads. *)
-  let fast_private = sync <> None && Hierarchy.private_only_config hier in
+  let fast_private = plan.sync <> None && Hierarchy.private_only_config hier in
   let comm =
     {
       Core_tile.send =
@@ -355,74 +386,82 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
           ~hierarchy:hier ~comm ())
       tiles
   in
-  (* Wall clock, not [Sys.time]: process CPU time aggregates across all
-     domains in OCaml 5, which would misreport per-run speed under the
-     domain-parallel batch runner. *)
-  let host_start = Unix.gettimeofday () in
-  let sim_span = Span.begin_span "sim" in
-  (* Progress reads only run state (cycle, per-tile retired counts), so it
-     can never perturb simulated cycles; the tick sits behind a stepped-
-     counter mask and is rate-limited inside [Progress.tick]. *)
-  let progress_instrs () =
-    let n = ref 0 in
-    for i = 0 to ntiles - 1 do
-      n := !n + Core_tile.completed_instrs cores.(i)
-    done;
-    !n
-  in
-  let progress_tick stepped cycle =
-    match progress with
-    | Some p when stepped land 1023 = 0 ->
-        Progress.tick p ~cycle ~instrs:(progress_instrs ())
-    | _ -> ()
-  in
+  { cfg; tiles; reg; hier; inter; mgr; profiled = profile; profiles; cores;
+    plan }
+
+(* Sampling's controller. A fast-forwarded accelerator call is counted and
+   priced like a detailed one, but gets no DMA burst, busy accounting or
+   bandwidth sharing: timing in fast-forwarded stretches is extrapolated,
+   not simulated. *)
+let sampler m ~program ~trace spec =
+  let cfg = m.cfg in
+  Sample.make_driver ~spec ~cores:m.cores
+    ~funcs:
+      (Array.map
+         (fun (s : tile_spec) -> Program.func_exn program s.kernel)
+         m.tiles)
+    ~profiles:m.profiles ~inter:m.inter ~hier:m.hier
+    ~dyn_instrs:
+      (Array.map
+         (fun (tt : Trace.tile_trace) -> tt.Trace.dyn_instrs)
+         trace.Trace.tiles)
+    ~on_accel:(fun ~tile:_ ~kind ~params ->
+      count_invocation m.mgr
+        (Accel_model.estimate cfg.accel_sys (design_of cfg kind)
+           (Accel_kinds.workload kind params)))
+    ~profiled:m.profiled
+
+let retired cores =
+  Array.fold_left (fun acc c -> acc + Core_tile.completed_instrs c) 0 cores
+
+(* The run's pure observers behind one hook: the progress heartbeat and,
+   when profiling into an enabled sink, periodic cumulative
+   [Stall_sample] events for Chrome counter tracks. Both read run state
+   only, so neither can perturb simulated cycles. [schedule] calls the
+   hook once per visited cycle, after the sweep and before the clock
+   advances; [run] calls it once more with [~final:true] when the run
+   drains. [None] when nothing observes, so the default path pays one
+   option match per visited cycle. *)
+let observer m ~sink ~progress =
+  let samples = m.profiled && Sink.enabled sink in
+  if Option.is_none progress && not samples then None
+  else
+    let next_sample = ref 0 in
+    Some
+      (fun ~final ~stepped ~cycle ->
+        (match progress with
+        | Some p when final ->
+            Progress.finish p ~cycle ~instrs:(retired m.cores)
+        (* A stepped-counter mask; [Progress.tick] rate-limits as well. *)
+        | Some p when stepped land 1023 = 0 ->
+            Progress.tick p ~cycle ~instrs:(retired m.cores)
+        | _ -> ());
+        if samples && (final || cycle >= !next_sample) then begin
+          Array.iteri
+            (fun tile prof ->
+              Sink.emit sink ~cycle
+                (Mosaic_obs.Event.Stall_sample
+                   { tile; counts = Profile.counts prof }))
+            m.profiles;
+          next_sample := cycle + 1024
+        end)
+
+(* The event-driven kernel: sweep every tile cycle by cycle and, at the
+   end of each visited cycle, advance the clock or, when nothing
+   progressed, jump to the earliest next event. The serial run is the
+   one-shard case of the same loop. [sampler] is a controller, not an
+   observer: it ticks at the top of every visited cycle and caps skips.
+   Returns the final cycle and the number of visited cycles. *)
+let schedule ?sampler ?observe m =
+  let { cfg; cores; inter; mgr; profiled; profiles; plan; _ } = m in
+  let { nshards; bounds; sync; cur_seq; _ } = plan in
+  let ntiles = Array.length cores in
   let cycle = ref 0 in
   let stepped = ref 0 in
   (* Running finished count: each tile transitions to finished exactly
      once, so a per-step O(ntiles) [Array.for_all] rescan is unnecessary. *)
   let finished_count = ref 0 in
   let finished_flags = Array.make ntiles false in
-  (* --- Sampling --- *)
-  let sampler =
-    Option.map
-      (fun spec ->
-        let funcs =
-          Array.map
-            (fun (s : tile_spec) -> Program.func_exn program s.kernel)
-            tiles
-        in
-        let on_accel ~tile:_ ~kind ~params =
-          (* Functional invocation: count it and charge its closed-form
-             energy, but no DMA burst, busy accounting or bandwidth
-             sharing — timing in fast-forwarded stretches is extrapolated,
-             not simulated. *)
-          let w = Accel_kinds.workload kind params in
-          let est = Accel_model.estimate cfg.accel_sys (design_of cfg kind) w in
-          mgr.invocations <- mgr.invocations + 1;
-          let pj = est.Accel_model.energy_j *. 1e12 in
-          mgr.energy_pj_total <- mgr.energy_pj_total +. pj;
-          pj
-        in
-        Sample.make_driver ~spec ~cores ~funcs ~profiles ~inter ~hier
-          ~dyn_instrs:
-            (Array.map
-               (fun (tt : Trace.tile_trace) -> tt.Trace.dyn_instrs)
-               trace.Trace.tiles)
-          ~on_accel ~profiled:profile)
-      sample
-  in
-  (* Periodic cumulative stall samples for Chrome counter tracks; only
-     when both profiling and an enabled sink are wired up. *)
-  let sampling = profile && Sink.enabled sink in
-  let sample_interval = 1024 in
-  let next_sample = ref 0 in
-  let emit_samples () =
-    for i = 0 to ntiles - 1 do
-      Sink.emit sink ~cycle:!cycle
-        (Mosaic_obs.Event.Stall_sample
-           { tile = i; counts = Profile.counts profiles.(i) })
-    done
-  in
   (* Minimum next-event view across every component, evaluated at a
      globally quiescent [cycle]; [max_int] means nothing can ever wake (a
      true deadlock). *)
@@ -469,16 +508,14 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
      evaluate it. *)
   let end_of_cycle () =
     incr stepped;
-    progress_tick !stepped !cycle;
+    (match observe with
+    | Some f -> f ~final:false ~stepped:!stepped ~cycle:!cycle
+    | None -> ());
     let progress = ref false in
     for k = 0 to nshards - 1 do
       if progress_of.(k) then progress := true;
       finished_count := !finished_count + newly_finished.(k)
     done;
-    if sampling && !cycle >= !next_sample then begin
-      emit_samples ();
-      next_sample := !cycle + sample_interval
-    end;
     (if !progress || not cfg.cycle_skip then incr cycle
      else begin
        (* Globally quiescent cycle: no tile processed an event, launched,
@@ -505,7 +542,7 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
           attribution over the stretch is its frozen last-swept-cycle
           cause; booking it keeps per-tile attribution bit-identical with
           and without cycle skipping (and summing to [cycles]). *)
-       if profile then begin
+       if profiled then begin
          let skipped = target - !cycle - 1 in
          if skipped > 0 then
            for i = 0 to ntiles - 1 do
@@ -556,30 +593,18 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
   (match sync with
   | None -> sweep 0
   | Some sync -> Mosaic_util.Shard_sync.run sync sweep);
-  if sampling then emit_samples ();
-  Span.end_span sim_span;
-  (match (sync, Span.enabled ()) with
-  | Some sync, true ->
-      let module Sync = Mosaic_util.Shard_sync in
-      for k = 0 to nshards - 1 do
-        Span.gauge_set reg
-          (Printf.sprintf "host.shard.%d.barrier_wait_seconds" k)
-          (Sync.wait_seconds sync k)
-      done
-  | _ -> ());
-  let host_seconds = Unix.gettimeofday () -. host_start in
-  let cycles = !cycle in
-  let stepped_cycles = !stepped in
-  let tile_stats = Array.map Core_tile.stats cores in
-  let instrs =
-    Array.fold_left
-      (fun acc s -> acc + s.Core_tile.completed_instrs)
-      0 tile_stats
-  in
+  (!cycle, !stepped)
+
+(* Core dynamic energy (accelerator invocations included), memory accesses
+   priced per level, and static (leakage + clock) energy per tile. While a
+   tile waits on an accelerator it invoked, clock gating saves ~75% of its
+   power (leakage and uncore remain). *)
+let energy_j m ~cycles tile_stats =
+  let cfg = m.cfg in
   let core_energy_pj =
     Array.fold_left (fun acc s -> acc +. s.Core_tile.energy_pj) 0.0 tile_stats
   in
-  let totals = Hierarchy.totals hier in
+  let totals = Hierarchy.totals m.hier in
   let me = cfg.mem_energy in
   let mem_energy_pj =
     (float_of_int totals.Hierarchy.l1_accesses *. me.l1_pj)
@@ -587,32 +612,45 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
     +. (float_of_int totals.Hierarchy.llc_accesses *. me.llc_pj)
     +. (float_of_int totals.Hierarchy.dram_lines *. me.dram_line_pj)
   in
-  (* Static (leakage + clock) energy per tile. While a tile waits on an
-     accelerator it invoked, clock gating saves ~75% of its power (leakage
-     and uncore remain). *)
   let static_j =
-    Array.to_list
+    Array.fold_left ( +. ) 0.0
       (Array.mapi
          (fun i spec ->
            let finish =
              let f = tile_stats.(i).Core_tile.finish_cycle in
              if f >= 0 then f else cycles
            in
-           let gated = Stdlib.min finish mgr.busy_by_tile.(i) in
+           let gated = Stdlib.min finish m.mgr.busy_by_tile.(i) in
            let powered =
              float_of_int (finish - gated) +. (0.25 *. float_of_int gated)
            in
            spec.tile_config.Tile_config.static_power_w
            *. (powered /. (cfg.freq_ghz *. 1e9)))
-         tiles)
-    |> List.fold_left ( +. ) 0.0
+         m.tiles)
   in
-  let energy_j = ((core_energy_pj +. mem_energy_pj) *. 1e-12) +. static_j in
-  let seconds = float_of_int cycles /. (cfg.freq_ghz *. 1e9) in
+  ((core_energy_pj +. mem_energy_pj) *. 1e-12) +. static_j
+
+(* Turn a finished schedule into the result, and make every registry
+   write of the run: shard barrier waits, the run-level numbers, sampling's
+   counters and the components' own. *)
+let account m ~sampler ~host_start ~cycles ~stepped =
+  (match (m.plan.sync, Span.enabled ()) with
+  | Some sync, true ->
+      for k = 0 to m.plan.nshards - 1 do
+        Span.gauge_set m.reg
+          (Printf.sprintf "host.shard.%d.barrier_wait_seconds" k)
+          (Mosaic_util.Shard_sync.wait_seconds sync k)
+      done
+  | _ -> ());
+  let host_seconds = Unix.gettimeofday () -. host_start in
+  let tile_stats = Array.map Core_tile.stats m.cores in
+  let instrs = retired m.cores in
+  let energy_j = energy_j m ~cycles tile_stats in
+  let seconds = float_of_int cycles /. (m.cfg.freq_ghz *. 1e9) in
   let r =
     {
       cycles;
-      stepped_cycles;
+      stepped_cycles = stepped;
       seconds;
       instrs;
       ipc =
@@ -625,40 +663,44 @@ let run ?(sink = Sink.null) ?metrics ?(profile = false) ?sample ?progress cfg
         (if host_seconds <= 0.0 then Float.infinity
          else float_of_int instrs /. host_seconds /. 1e6);
       tile_stats;
-      interleaver = Interleaver.stats inter;
-      mem_totals = totals;
-      dram = Hierarchy.dram_stats hier;
+      interleaver = Interleaver.stats m.inter;
+      mem_totals = Hierarchy.totals m.hier;
+      dram = Hierarchy.dram_stats m.hier;
       mao_stalls =
-        Array.fold_left (fun acc c -> acc + Core_tile.mao_stalls c) 0 cores;
-      accel_invocations = mgr.invocations;
-      metrics = reg;
-      profiles;
+        Array.fold_left (fun acc c -> acc + Core_tile.mao_stalls c) 0 m.cores;
+      accel_invocations = m.mgr.invocations;
+      metrics = m.reg;
+      profiles = m.profiles;
       sample = Option.map (fun d -> Sample.finish d ~cycle:cycles) sampler;
     }
   in
-  (match progress with
-  | Some p -> Progress.finish p ~cycle:cycles ~instrs
-  | None -> ());
-  publish_result reg r;
-  (match r.sample with
-  | Some (s : Sample.report) ->
-      let c name v = Metrics.incr ~by:v (Metrics.counter reg name) in
-      c "sample.est_cycles" s.Sample.est_cycles;
-      c "sample.detailed_cycles" s.Sample.detailed_cycles;
-      c "sample.detailed_instrs" s.Sample.detailed_instrs;
-      c "sample.ff_instrs" s.Sample.ff_instrs;
-      c "sample.periods" s.Sample.periods;
-      c "sample.degraded" s.Sample.degraded
-  | None -> ());
-  Hierarchy.publish hier reg;
-  Interleaver.publish inter reg;
+  publish_result m.reg r;
+  Hierarchy.publish m.hier m.reg;
+  Interleaver.publish m.inter m.reg;
   r
 
-let run_homogeneous ?sink ?metrics ?profile ?sample ?progress cfg ~program
-    ~trace ~tile_config =
+let run ?(sink = Sink.null) ?(profile = false) ?sample ?progress cfg ~program
+    ~trace ~tiles =
+  let m =
+    build ~sink ~profile ~sampled:(sample <> None) cfg ~program ~trace ~tiles
+  in
+  let sampler = Option.map (sampler m ~program ~trace) sample in
+  let observe = observer m ~sink ~progress in
+  (* Wall clock, not [Sys.time]: process CPU time aggregates across all
+     domains in OCaml 5, which would misreport per-run speed under the
+     domain-parallel batch runner. *)
+  let host_start = Unix.gettimeofday () in
+  let sim_span = Span.begin_span "sim" in
+  let cycles, stepped = schedule ?sampler ?observe m in
+  Option.iter (fun f -> f ~final:true ~stepped ~cycle:cycles) observe;
+  Span.end_span sim_span;
+  account m ~sampler ~host_start ~cycles ~stepped
+
+let run_homogeneous ?sink ?profile ?sample ?progress cfg ~program ~trace
+    ~tile_config =
   let tiles =
     Array.map
       (fun (tt : Trace.tile_trace) -> { kernel = tt.Trace.kernel; tile_config })
       trace.Trace.tiles
   in
-  run ?sink ?metrics ?profile ?sample ?progress cfg ~program ~trace ~tiles
+  run ?sink ?profile ?sample ?progress cfg ~program ~trace ~tiles

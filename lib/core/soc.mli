@@ -53,6 +53,10 @@ type config = {
 
 val default_config : config
 
+(** The design point [cfg] instantiates for accelerator [kind]; a kind
+    [accel_designs] omits gets [Mosaic_accel.Accel_model.default_design]. *)
+val design_of : config -> string -> Mosaic_accel.Accel_model.design_point
+
 (** Replace the hierarchy of a config (builders often share the rest). *)
 val with_hierarchy : config -> Mosaic_memory.Hierarchy.config -> config
 
@@ -96,10 +100,8 @@ type result = {
     An enabled [sink] receives the full event stream (instruction
     issue/retire, cache hits/misses/evictions, DRAM row activations,
     interleaver handoffs, accelerator invocations); the default
-    null sink costs nothing. [metrics] supplies the registry that tiles and
-    memory publish into (a fresh one is created when absent); pass a fresh
-    registry per run — metric names are registered once and duplicates
-    raise.
+    null sink costs nothing. Tiles and memory publish into a fresh
+    registry per run, returned as [result.metrics].
 
     [profile] (default off) turns on the cycle-accounting profiler: every
     tile-cycle is attributed to one {!Mosaic_obs.Stall.cause}, per-tile
@@ -115,7 +117,6 @@ type result = {
     stall estimates. Sampled runs force [shards = 1]. *)
 val run :
   ?sink:Mosaic_obs.Sink.t ->
-  ?metrics:Mosaic_obs.Metrics.t ->
   ?profile:bool ->
   ?sample:Sample.spec ->
   ?progress:Mosaic_obs.Progress.t ->
@@ -129,7 +130,6 @@ val run :
     trace's kernel. *)
 val run_homogeneous :
   ?sink:Mosaic_obs.Sink.t ->
-  ?metrics:Mosaic_obs.Metrics.t ->
   ?profile:bool ->
   ?sample:Sample.spec ->
   ?progress:Mosaic_obs.Progress.t ->

@@ -64,7 +64,8 @@ let workloads () =
         ~tiles:(Array.init 4 (fun i -> (kernel i, inst.W.Runner.args)))
     in
     let tiles =
-      Array.init 4 (fun i -> { Soc.kernel = kernel i; tile_config = TC.in_order })
+      Array.init 4 (fun i ->
+          { Soc.kernel = kernel i; tile_config = TC.in_order })
     in
     ("projection-dae-pairs2", inst, trace, tiles)
   in
@@ -74,7 +75,8 @@ let modes = [ "profile+sink"; "sample+profile+sink"; "progress"; "shards2" ]
 
 let stream_line (label, inst, trace, tiles) mode =
   let sink =
-    if String.ends_with ~suffix:"sink" mode then Sink.create ~capacity:(1 lsl 22) ()
+    if String.ends_with ~suffix:"sink" mode then
+      Sink.create ~capacity:(1 lsl 22) ()
     else Sink.null
   in
   let profile = mode <> "progress" && mode <> "shards2" in

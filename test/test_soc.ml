@@ -222,6 +222,36 @@ let test_sampling () =
   expect_invalid { Sample.period = 100; interval = 0; warmup = 10 };
   expect_invalid { Sample.period = 100; interval = 50; warmup = -1 }
 
+(* [--sample]'s parser: every spec it accepts is complete and valid, so
+   a bad one is a usage error before any simulation starts. *)
+let test_sample_spec_parsing () =
+  let spec = Alcotest.testable (fun ppf -> function
+      | None -> Format.pp_print_string ppf "auto"
+      | Some (s : Sample.spec) ->
+          Format.fprintf ppf "%d:%d:%d" s.Sample.period s.Sample.interval
+            s.Sample.warmup) ( = )
+  in
+  let ok str expected =
+    match Sample.parse_spec str with
+    | Ok got -> Alcotest.check spec str expected got
+    | Error msg -> Alcotest.failf "%S rejected: %s" str msg
+  in
+  ok "auto" None;
+  ok "800" (Some { Sample.period = 800; interval = 100; warmup = 20 });
+  ok "800:50" (Some { Sample.period = 800; interval = 50; warmup = 20 });
+  ok "800:50:0" (Some { Sample.period = 800; interval = 50; warmup = 0 });
+  ok "10" (Some { Sample.period = 10; interval = 1; warmup = 1 });
+  List.iter
+    (fun str ->
+      match Sample.parse_spec str with
+      | Ok _ -> Alcotest.failf "%S accepted" str
+      | Error msg ->
+          let prefix = Printf.sprintf "bad sample spec %S: " str in
+          checkb (Printf.sprintf "%S: message names the spec" str) true
+            (String.starts_with ~prefix msg))
+    [ "abc"; ""; "0"; "0:0"; "5:4:4"; "100:100"; "100:0:10"; "100:50:-1";
+      "1"; "8:x"; "1:2:3:4"; "Auto" ]
+
 let suite =
   [
     ( "soc.run",
@@ -233,6 +263,8 @@ let suite =
         Alcotest.test_case "accelerator invocation" `Quick test_accelerator_invocation;
         Alcotest.test_case "dram model choice" `Quick test_dram_model_choice;
         Alcotest.test_case "interval sampling sanity" `Quick test_sampling;
+        Alcotest.test_case "sample spec parsing" `Quick
+          test_sample_spec_parsing;
       ] );
     ( "soc.interleaver",
       [
